@@ -8,7 +8,10 @@ jump, shrinking it where a discontinuity lives removes most of the smearing
 while leaving smooth regions to the high-order polynomial.
 
 Face indexing convention: face j is x_{j+1/2}, sitting between cell j and
-cell (j+1) % n. All per-face arrays use this layout.
+cell (j+1) % n. All per-face arrays use this layout. A cell's neighbours
+across faces j-1 and j are read from the ghost-cell layout: field.periodic_pad
+adds one wrap-around cell on each side of a per-cell array, and the shifted
+operands are slice views of it (_prev, _next).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import periodic_pad
 from .reconstruct import ThincParams, thinc_admissible_field, thinc_field, weno_z_field
 
 # Guard used by the smoothness indicator and the blend-weight denominator.
@@ -85,6 +89,16 @@ def build_candidates(
     )
 
 
+def _prev(x: np.ndarray) -> np.ndarray:
+    """x[(j - 1) % n] per cell j: a view of the one-ghost-cell pad."""
+    return periodic_pad(x, 1)[:-2]
+
+
+def _next(x: np.ndarray) -> np.ndarray:
+    """x[(j + 1) % n] per cell j: a view of the one-ghost-cell pad."""
+    return periodic_pad(x, 1)[2:]
+
+
 def assemble_interfaces(
     omega: np.ndarray, candidates: CandidateSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +107,10 @@ def assemble_interfaces(
     q^L at face j is the blended right-boundary value of cell j; q^R is the
     blended left-boundary value of cell j+1 (periodic wrap).
     """
-    left_of_cell = omega * candidates.thinc_left + (1.0 - omega) * candidates.weno_left
-    right_of_cell = omega * candidates.thinc_right + (1.0 - omega) * candidates.weno_right
-    return right_of_cell, np.roll(left_of_cell, -1)
+    weno_share = 1.0 - omega
+    left_of_cell = omega * candidates.thinc_left + weno_share * candidates.weno_left
+    right_of_cell = omega * candidates.thinc_right + weno_share * candidates.weno_right
+    return right_of_cell, _next(left_of_cell)
 
 
 def _discrete_result(use_thinc: np.ndarray, candidates: CandidateSet) -> SelectionResult:
@@ -105,7 +120,7 @@ def _discrete_result(use_thinc: np.ndarray, candidates: CandidateSet) -> Selecti
     return SelectionResult(
         omega=use_thinc.astype(float),
         face_left=face_left,
-        face_right=np.roll(cell_left, -1),
+        face_right=_next(cell_left),
     )
 
 
@@ -118,34 +133,33 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
     nominations: agreement is honored, and a conflict falls back to WENO
     exactly when the two signed minimizing variations have opposite signs.
     """
-    n = candidates.n_cells
     own = (candidates.weno_right, candidates.thinc_right)
-    nbr = (np.roll(candidates.weno_left, -1), np.roll(candidates.thinc_left, -1))
+    nbr = (_next(candidates.weno_left), _next(candidates.thinc_left))
     adm_own = candidates.admissible
-    adm_nbr = np.roll(candidates.admissible, -1)
+    adm_nbr = _next(adm_own)
 
-    signed = np.stack([own[xi] - nbr[eta] for xi, eta in _FACE_COMBOS])
-    allowed = np.stack(
-        [
-            np.ones(n, dtype=bool) if xi == 0 else adm_own
-            for xi, _ in _FACE_COMBOS
-        ]
-    ) & np.stack(
-        [
-            np.ones(n, dtype=bool) if eta == 0 else adm_nbr
-            for _, eta in _FACE_COMBOS
-        ]
-    )
-    magnitude = np.where(allowed, np.abs(signed), np.inf)
-    best = np.argmin(magnitude, axis=0)  # first minimum in combo order
+    # First minimum in combo order: a later combination must be strictly
+    # smaller, and a THINC value takes part only where it is admissible.
+    signed_right = own[0] - nbr[0]
+    magnitude = np.abs(signed_right)
+    best = np.zeros(signed_right.shape, dtype=np.intp)
+    for k, (xi, eta) in enumerate(_FACE_COMBOS[1:], start=1):
+        signed_k = own[xi] - nbr[eta]
+        magnitude_k = np.abs(signed_k)
+        take = magnitude_k < magnitude
+        if xi:
+            take &= adm_own
+        if eta:
+            take &= adm_nbr
+        magnitude = np.where(take, magnitude_k, magnitude)
+        signed_right = np.where(take, signed_k, signed_right)
+        best = np.where(take, k, best)
 
     combo_own = np.array([xi for xi, _ in _FACE_COMBOS], dtype=bool)
     combo_nbr = np.array([eta for _, eta in _FACE_COMBOS], dtype=bool)
-    cols = np.arange(n)
     nominate_from_right = combo_own[best]          # for cell j, via face j
-    nominate_from_left = np.roll(combo_nbr[best], 1)  # for cell j, via face j-1
-    signed_right = signed[best, cols]
-    signed_left = np.roll(signed_right, 1)
+    nominate_from_left = combo_nbr[_prev(best)]    # for cell j, via face j-1
+    signed_left = _prev(signed_right)
 
     agree = nominate_from_right == nominate_from_left
     conflict_takes_weno = signed_right * signed_left < 0.0
@@ -160,15 +174,19 @@ def bvd2_select(candidates: CandidateSet) -> SelectionResult:
     is minimized over the four neighbor-candidate combinations; THINC is
     kept only where its minimum beats WENO's strictly.
     """
-    to_left_face = (np.roll(candidates.weno_right, 1), np.roll(candidates.thinc_right, 1))
-    to_right_face = (np.roll(candidates.weno_left, -1), np.roll(candidates.thinc_left, -1))
+    to_left_face = (_prev(candidates.weno_right), _prev(candidates.thinc_right))
+    to_right_face = (_next(candidates.weno_left), _next(candidates.thinc_left))
 
     def min_total(own_left: np.ndarray, own_right: np.ndarray) -> np.ndarray:
-        totals = [
-            np.abs(to_left_face[a] - own_left) + np.abs(to_right_face[b] - own_right)
-            for a, b in _FACE_COMBOS
-        ]
-        return np.minimum.reduce(totals)
+        # Rounding is monotone, so the least rounded sum over the four
+        # combinations is the rounded sum of the two least terms.
+        at_left = np.minimum(
+            np.abs(to_left_face[0] - own_left), np.abs(to_left_face[1] - own_left)
+        )
+        at_right = np.minimum(
+            np.abs(to_right_face[0] - own_right), np.abs(to_right_face[1] - own_right)
+        )
+        return at_left + at_right
 
     m_weno = min_total(candidates.weno_left, candidates.weno_right)
     m_thinc = min_total(candidates.thinc_left, candidates.thinc_right)
@@ -189,15 +207,22 @@ def bvd3_select(
     THINC into WENO with the weight that minimizes the squared mismatch to
     the neighbors' WENO face values; the quadratic has the closed-form
     stationary point implemented below. The weight is clamped to [0, 1].
+    Only admissible cells can blend, so S is evaluated on those alone: its
+    x**4 goes through pow, which dominates the selector at large N. (Writing
+    it as products would be cheaper but changes the last bit.)
     """
     if s_cutoff <= 0.0:
         raise ValueError("s_cutoff must be positive")
-    d_left = np.roll(candidates.weno_right, 1) - candidates.weno_left
-    d_right = np.roll(candidates.weno_left, -1) - candidates.weno_right
-    dq_left = averages - np.roll(averages, 1)
-    dq_right = averages - np.roll(averages, -1)
-    tbv_weno = (d_left**4 + d_right**4) / (dq_left**4 + dq_right**4 + eps3)
+    adm = candidates.admissible
+    d_left = _prev(candidates.weno_right) - candidates.weno_left
+    d_right = _next(candidates.weno_left) - candidates.weno_right
+    padded = periodic_pad(averages, 1)
+    jumps = np.stack((d_left, d_right, averages - padded[:-2], averages - padded[2:]))
+    d4_left, d4_right, dq4_left, dq4_right = jumps[:, adm] ** 4
+    tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + eps3)
     smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, eps3)
+    blend = np.zeros_like(adm)
+    blend[adm] = smoothness < s_cutoff
 
     e_left = candidates.thinc_left - candidates.weno_left
     e_right = candidates.thinc_right - candidates.weno_right
@@ -206,9 +231,7 @@ def bvd3_select(
     raw = np.where(
         degenerate, 0.0, (d_left * e_left + d_right * e_right) / np.where(degenerate, 1.0, denom)
     )
-    omega = np.clip(raw, 0.0, 1.0)
-    blend = (smoothness < s_cutoff) & candidates.admissible
-    omega = np.where(blend, omega, 0.0)
+    omega = np.where(blend, np.minimum(np.maximum(raw, 0.0), 1.0), 0.0)
     n_clamped = int(np.count_nonzero(blend & ~degenerate & ((raw < 0.0) | (raw > 1.0))))
 
     face_left, face_right = assemble_interfaces(omega, candidates)
@@ -223,11 +246,11 @@ def bvd4_select(candidates: CandidateSet) -> SelectionResult:
     neighbors contribute their WENO values); THINC wins only strictly.
     """
     tbv_weno = np.abs(
-        np.roll(candidates.weno_right, 1) - candidates.weno_left
-    ) + np.abs(candidates.weno_right - np.roll(candidates.weno_left, -1))
+        _prev(candidates.weno_right) - candidates.weno_left
+    ) + np.abs(candidates.weno_right - _next(candidates.weno_left))
     tbv_thinc = np.abs(
-        np.roll(candidates.thinc_right, 1) - candidates.thinc_left
-    ) + np.abs(candidates.thinc_right - np.roll(candidates.thinc_left, -1))
+        _prev(candidates.thinc_right) - candidates.thinc_left
+    ) + np.abs(candidates.thinc_right - _next(candidates.thinc_left))
     use_thinc = (tbv_thinc < tbv_weno) & candidates.admissible
     return _discrete_result(use_thinc, candidates)
 

@@ -73,6 +73,19 @@ class CellField:
         return float(self.averages.sum() * self.grid.dx)
 
 
+def periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
+    """Ghost-cell layout: `values` with `width` wrap-around cells on each side.
+
+    Entry k of the result is cell (k - width) % n, so for a padded array g
+    the slice g[width + s : width + s + n] reads cell (i + s) % n at position
+    i, as a view, for any shift |s| <= width. Returns a new array.
+    """
+    n = values.shape[0]
+    if n < width:  # the stencil wraps round the grid more than once
+        return values.take(np.arange(-width, n + width), mode="wrap")
+    return np.concatenate((values[n - width :], values, values[:width]))
+
+
 def stencil(field: CellField, i: int, half_width: int) -> np.ndarray:
     """Periodic stencil q_{i-h}..q_{i+h} centered on cell i."""
     if half_width < 0:

@@ -2,9 +2,22 @@
 
 Both reconstructions map cell averages to a pair of boundary values per
 cell: the value the in-cell profile takes at the cell's left face x_{i-1/2}
-and at its right face x_{i+1/2}. All kernels broadcast, so the same code
-serves the scalar per-cell operations and the vectorized whole-field paths
-(periodic indexing via np.roll).
+and at its right face x_{i+1/2}. The whole-field kernels hold the one
+formula of each reconstruction; the per-cell functions evaluate them on the
+cell's 3- or 5-cell periodic window.
+
+Periodic neighbours come from the ghost-cell layout (LeVeque, Finite Volume
+Methods for Hyperbolic Problems, 2002, ch. 7): field.periodic_pad copies the
+wrap-around cells once per kernel call, one ghost cell per side for THINC
+and the admissibility test and two for the 5-point WENO-Z stencil, and every
+neighbour operand is a slice view of that one array.
+
+Every kernel keeps the operations and operand order of the formulas it was
+validated with, so results match the former whole-array-shift kernels bit
+for bit
+(tests/test_bitwise.py). One algebraically equivalent shortcut is
+deliberately not taken: reusing the right face's beta_0/beta_2, swapped,
+for the left face changes the last bit of the left values.
 """
 
 from __future__ import annotations
@@ -13,6 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .field import periodic_pad
 
 # Regularization constants. Three distinct epsilons are in play across the
 # package: the WENO-Z weight guard below, the THINC division guard in
@@ -50,64 +65,91 @@ class ThincParams:
             raise ValueError("eps must be positive")
 
 
-def _wenoz_downwind(m2, m1, c, p1, p2):
-    """WENO-Z value at the downwind face x_{i+1/2} of the center cell.
-
-    Upwind-biased blend of the three quadratic sub-stencil extrapolations,
-    weighted by the tau5-enhanced nonlinear weights.
-    """
-    b0 = 13.0 / 12.0 * (m2 - 2.0 * m1 + c) ** 2 + 0.25 * (m2 - 4.0 * m1 + 3.0 * c) ** 2
-    b1 = 13.0 / 12.0 * (m1 - 2.0 * c + p1) ** 2 + 0.25 * (m1 - p1) ** 2
-    b2 = 13.0 / 12.0 * (c - 2.0 * p1 + p2) ** 2 + 0.25 * (3.0 * c - 4.0 * p1 + p2) ** 2
-    tau5 = np.abs(b0 - b2)
-    a0 = _D0 * (1.0 + tau5 / (b0 + WENO_Z_EPS))
-    a1 = _D1 * (1.0 + tau5 / (b1 + WENO_Z_EPS))
-    a2 = _D2 * (1.0 + tau5 / (b2 + WENO_Z_EPS))
-    v0 = (2.0 * m2 - 7.0 * m1 + 11.0 * c) / 6.0
-    v1 = (-m1 + 5.0 * c + 2.0 * p1) / 6.0
-    v2 = (2.0 * c + 5.0 * p1 - p2) / 6.0
-    return (a0 * v0 + a1 * v1 + a2 * v2) / (a0 + a1 + a2)
-
-
 def weno_z_pair(stencil5) -> BoundaryPair:
     """Boundary pair from a 5-cell stencil [q_{i-2}..q_{i+2}].
 
-    The right value is the standard upwind-biased reconstruction at
-    x_{i+1/2}; the left value applies the same formula to the reversed
-    stencil (mirror symmetry).
+    The stencil is read as a periodic 5-cell field, whose middle cell sees
+    exactly these neighbours, and evaluated by weno_z_field.
     """
-    m2, m1, c, p1, p2 = (float(v) for v in stencil5)
-    right = _wenoz_downwind(m2, m1, c, p1, p2)
-    left = _wenoz_downwind(p2, p1, c, m1, m2)
-    return BoundaryPair(float(left), float(right))
+    window = np.array(stencil5, dtype=float)
+    if window.shape != (5,):
+        raise ValueError(f"stencil5 must hold 5 values, got shape {window.shape}")
+    left, right = weno_z_field(window)
+    return BoundaryPair(float(left[2]), float(right[2]))
 
 
 def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell WENO-Z boundary pairs over a periodic field.
 
+    The right value is the standard upwind-biased reconstruction at
+    x_{i+1/2}: a blend of the three quadratic sub-stencil extrapolations,
+    weighted by the tau5-enhanced nonlinear weights. The left value applies
+    the same formula to the mirrored stencil.
+
+    Each product and second-difference term is computed once and read by
+    every face that uses it; each face still combines them in the operand
+    order of its own formula.
+
     Returns (left, right) arrays congruent with `values`.
     """
-    m2 = np.roll(values, 2)
-    m1 = np.roll(values, 1)
-    p1 = np.roll(values, -1)
-    p2 = np.roll(values, -2)
-    right = _wenoz_downwind(m2, m1, values, p1, p2)
-    left = _wenoz_downwind(p2, p1, values, m1, m2)
-    return left, right
+    n = values.shape[0]
+    g = periodic_pad(values, 2)
+    two, four, five, seven = 2.0 * g, 4.0 * g, 5.0 * g, 7.0 * g
+    three_c, eleven_c = 3.0 * values, 11.0 * values
+
+    def at(padded: np.ndarray, k: int) -> np.ndarray:
+        """Cell i + k of a two-ghost-cell array, for every cell i."""
+        return padded[2 + k : 2 + k + n]
+
+    # 13/12 (q_{k-1} - 2 q_k + q_{k+1})^2 at k = -1..n, in the right face's
+    # operand order and in the mirrored one; beta_0..beta_2 read it at
+    # k = i-1, i, i+1 (mirrored for the left face).
+    lo, twice_mid, hi = g[:-2], two[1:-1], g[2:]
+    curv_right = 13.0 / 12.0 * (lo - twice_mid + hi) ** 2
+    curv_left = 13.0 / 12.0 * (hi - twice_mid + lo) ** 2
+    slope = 0.25 * (at(g, -1) - at(g, 1)) ** 2  # (m1 - p1)^2 == (p1 - m1)^2
+
+    def face(s: int, curv: np.ndarray) -> np.ndarray:
+        """Value at face x_{i+s/2}: the stencil read in direction s = +1 or -1."""
+        m2, m1, p2 = at(g, -2 * s), at(g, -s), at(g, 2 * s)
+        b0 = curv[1 - s : 1 - s + n] + 0.25 * (m2 - at(four, -s) + three_c) ** 2
+        b1 = curv[1 : 1 + n] + slope
+        b2 = curv[1 + s : 1 + s + n] + 0.25 * (three_c - at(four, s) + p2) ** 2
+        tau5 = np.abs(b0 - b2)
+        a0 = _D0 * (1.0 + tau5 / (b0 + WENO_Z_EPS))
+        a1 = _D1 * (1.0 + tau5 / (b1 + WENO_Z_EPS))
+        a2 = _D2 * (1.0 + tau5 / (b2 + WENO_Z_EPS))
+        v0 = (at(two, -2 * s) - at(seven, -s) + eleven_c) / 6.0
+        v1 = (-m1 + at(five, 0) + at(two, s)) / 6.0
+        v2 = (at(two, 0) + at(five, s) - p2) / 6.0
+        return (a0 * v0 + a1 * v1 + a2 * v2) / (a0 + a1 + a2)
+
+    return face(-1, curv_left), face(1, curv_right)
 
 
-def _thinc_faces(qm, qc, qp, beta: float, eps: float):
-    """Closed-form sigmoid boundary values from the three-cell neighborhood.
+def thinc_pair(q_im1: float, q_i: float, q_ip1: float, params: ThincParams) -> BoundaryPair:
+    """THINC boundary pair for one cell from its three-cell neighborhood."""
+    left, right = thinc_field(np.array([q_im1, q_i, q_ip1], dtype=float), params)
+    return BoundaryPair(float(left[1]), float(right[1]))
+
+
+def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell THINC boundary pairs over a periodic field.
 
     The in-cell profile is a tanh ramp between the neighbor averages whose
     jump-center position is fixed by cell-average consistency; the boundary
     values below are its exact face evaluations, no root solve needed.
     """
+    g = periodic_pad(values, 1)
+    qm, qp = g[:-2], g[2:]
+    beta = params.beta
     qmin = np.minimum(qm, qp)
     qmax = np.maximum(qm, qp) - qmin
     theta = np.sign(qp - qm)
-    ratio = (qc - qmin + eps) / (qmax + eps)
-    arg = np.clip(theta * beta * (2.0 * ratio - 1.0), -_THINC_EXP_CAP, _THINC_EXP_CAP)
+    ratio = (values - qmin + params.eps) / (qmax + params.eps)
+    arg = np.minimum(
+        np.maximum(theta * beta * (2.0 * ratio - 1.0), -_THINC_EXP_CAP), _THINC_EXP_CAP
+    )
     scaled = np.exp(arg) / np.cosh(beta)
     tb = np.tanh(beta)
     a = (scaled - 1.0) / tb
@@ -115,32 +157,10 @@ def _thinc_faces(qm, qc, qp, beta: float, eps: float):
     # where rounding collapses the sum to zero (saturated inadmissible cells).
     denom = 1.0 + a * tb
     denom = np.where(denom > 0.0, denom, scaled)
-    left = qmin + 0.5 * qmax * (1.0 + theta * a)
-    right = qmin + 0.5 * qmax * (1.0 + theta * (tb + a) / denom)
+    half_jump = 0.5 * qmax
+    left = qmin + half_jump * (1.0 + theta * a)
+    right = qmin + half_jump * (1.0 + theta * (tb + a) / denom)
     return left, right
-
-
-def thinc_pair(q_im1: float, q_i: float, q_ip1: float, params: ThincParams) -> BoundaryPair:
-    """THINC boundary pair for one cell from its three-cell neighborhood."""
-    left, right = _thinc_faces(
-        float(q_im1), float(q_i), float(q_ip1), params.beta, params.eps
-    )
-    return BoundaryPair(float(left), float(right))
-
-
-def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell THINC boundary pairs over a periodic field."""
-    qm = np.roll(values, 1)
-    qp = np.roll(values, -1)
-    return _thinc_faces(qm, values, qp, params.beta, params.eps)
-
-
-def _admissible(qm, qc, qp, delta: float, eps: float):
-    qmin = np.minimum(qm, qp)
-    qmax = np.maximum(qm, qp) - qmin
-    ratio = (qc - qmin + eps) / (qmax + eps)
-    monotone = (qp - qc) * (qc - qm) > 0.0
-    return (ratio > delta) & (ratio < 1.0 - delta) & monotone
 
 
 def thinc_admissible(
@@ -153,9 +173,8 @@ def thinc_admissible(
     the local data to be strictly monotone. Cells failing either condition
     keep the polynomial reconstruction.
     """
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 0.5)")
-    return bool(_admissible(float(q_im1), float(q_i), float(q_ip1), delta, eps))
+    window = np.array([q_im1, q_i, q_ip1], dtype=float)
+    return bool(thinc_admissible_field(window, delta, eps)[1])
 
 
 def thinc_admissible_field(
@@ -164,6 +183,10 @@ def thinc_admissible_field(
     """Vectorized admissibility mask over a periodic field."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    qm = np.roll(values, 1)
-    qp = np.roll(values, -1)
-    return _admissible(qm, values, qp, delta, eps)
+    g = periodic_pad(values, 1)
+    qm, qp = g[:-2], g[2:]
+    qmin = np.minimum(qm, qp)
+    qmax = np.maximum(qm, qp) - qmin
+    ratio = (values - qmin + eps) / (qmax + eps)
+    monotone = (qp - values) * (values - qm) > 0.0
+    return (ratio > delta) & (ratio < 1.0 - delta) & monotone

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .bvd import SELECTORS, build_candidates, bvd3_select
-from .field import CellField
+from .field import CellField, periodic_pad
 from .reconstruct import ThincParams, weno_z_field
 
 SCHEMES = ("wenoz", "bvd1", "bvd2", "bvd3", "bvd4")
@@ -51,8 +52,9 @@ class SchemeConfig:
         if self.s_cutoff <= 0.0:
             raise ValueError("s_cutoff must be positive")
 
-    @property
+    @cached_property
     def thinc_params(self) -> ThincParams:
+        """Built and validated once per config, not once per RK stage."""
         return ThincParams(beta=self.beta)
 
 
@@ -114,7 +116,7 @@ def _interface_states(
     """(q^L, q^R) per face plus (thinc cell count, clamped cell count)."""
     if scheme.scheme == "wenoz":
         left_of_cell, right_of_cell = weno_z_field(values)
-        return right_of_cell, np.roll(left_of_cell, -1), 0, 0
+        return right_of_cell, periodic_pad(left_of_cell, 1)[2:], 0, 0
     candidates = build_candidates(values, scheme.thinc_params, scheme.delta)
     if scheme.scheme == "bvd3":
         sel = bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff)
@@ -128,7 +130,8 @@ def _rhs_values(
 ) -> tuple[np.ndarray, int, int]:
     q_left, q_right, n_thinc, n_clamped = _interface_states(values, scheme)
     face_flux = riemann_flux(q_left, q_right, flux)
-    return -(face_flux - np.roll(face_flux, 1)) / dx, n_thinc, n_clamped
+    flux_in = periodic_pad(face_flux, 1)[:-2]  # face j-1, the cell's left face
+    return -(face_flux - flux_in) / dx, n_thinc, n_clamped
 
 
 def rhs(field: CellField, scheme: SchemeConfig, flux: FluxSpec) -> np.ndarray:

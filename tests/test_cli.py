@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bvd1d
 from bvd1d import cli
 from bvd1d.solver import BlowupError
 
@@ -157,3 +163,29 @@ class TestMain:
             assert (tmp_path / f"figure{figure}.csv").exists()
         out = capsys.readouterr().out
         assert "wenoz" in out and "bvd4(b=4)" in out
+
+
+class TestModuleEntry:
+    @staticmethod
+    def run_python(*args: str) -> subprocess.CompletedProcess:
+        """A fresh interpreter that imports bvd1d from the same sources as this one."""
+        src = str(Path(bvd1d.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_python_m_bvd1d_help_exits_zero(self):
+        proc = self.run_python("-m", "bvd1d", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout.lower()
+
+    def test_import_does_not_load_the_entry_module(self):
+        proc = self.run_python(
+            "-c", "import sys, bvd1d; sys.exit('bvd1d.__main__' in sys.modules)"
+        )
+        assert proc.returncode == 0, proc.stderr
