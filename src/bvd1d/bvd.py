@@ -29,6 +29,9 @@ BVD3_EPS = 1e-16
 # Enumeration order for candidate combinations at a face; ties keep the
 # earliest entry, so the polynomial candidate wins any exact tie.
 _FACE_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# Whether combination k takes THINC for the face's own / neighbour cell.
+_COMBO_OWN = np.array([xi for xi, _ in _FACE_COMBOS], dtype=bool)
+_COMBO_NBR = np.array([eta for _, eta in _FACE_COMBOS], dtype=bool)
 
 
 @dataclass
@@ -99,6 +102,13 @@ def _next(x: np.ndarray) -> np.ndarray:
     return periodic_pad(x, 1)[2:]
 
 
+def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| as one new array."""
+    out = a - b
+    np.abs(out, out=out)
+    return out
+
+
 def assemble_interfaces(
     omega: np.ndarray, candidates: CandidateSet
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +118,10 @@ def assemble_interfaces(
     blended left-boundary value of cell j+1 (periodic wrap).
     """
     weno_share = 1.0 - omega
-    left_of_cell = omega * candidates.thinc_left + weno_share * candidates.weno_left
-    right_of_cell = omega * candidates.thinc_right + weno_share * candidates.weno_right
+    left_of_cell = omega * candidates.thinc_left
+    left_of_cell += weno_share * candidates.weno_left
+    right_of_cell = omega * candidates.thinc_right
+    right_of_cell += weno_share * candidates.weno_right
     return right_of_cell, _next(left_of_cell)
 
 
@@ -151,14 +163,12 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
             take &= adm_own
         if eta:
             take &= adm_nbr
-        magnitude = np.where(take, magnitude_k, magnitude)
-        signed_right = np.where(take, signed_k, signed_right)
-        best = np.where(take, k, best)
+        np.copyto(magnitude, magnitude_k, where=take)
+        np.copyto(signed_right, signed_k, where=take)
+        np.copyto(best, k, where=take)
 
-    combo_own = np.array([xi for xi, _ in _FACE_COMBOS], dtype=bool)
-    combo_nbr = np.array([eta for _, eta in _FACE_COMBOS], dtype=bool)
-    nominate_from_right = combo_own[best]          # for cell j, via face j
-    nominate_from_left = combo_nbr[_prev(best)]    # for cell j, via face j-1
+    nominate_from_right = _COMBO_OWN[best]          # for cell j, via face j
+    nominate_from_left = _COMBO_NBR[_prev(best)]    # for cell j, via face j-1
     signed_left = _prev(signed_right)
 
     agree = nominate_from_right == nominate_from_left
@@ -180,13 +190,12 @@ def bvd2_select(candidates: CandidateSet) -> SelectionResult:
     def min_total(own_left: np.ndarray, own_right: np.ndarray) -> np.ndarray:
         # Rounding is monotone, so the least rounded sum over the four
         # combinations is the rounded sum of the two least terms.
-        at_left = np.minimum(
-            np.abs(to_left_face[0] - own_left), np.abs(to_left_face[1] - own_left)
-        )
-        at_right = np.minimum(
-            np.abs(to_right_face[0] - own_right), np.abs(to_right_face[1] - own_right)
-        )
-        return at_left + at_right
+        at_left = _abs_diff(to_left_face[0], own_left)
+        np.minimum(at_left, _abs_diff(to_left_face[1], own_left), out=at_left)
+        at_right = _abs_diff(to_right_face[0], own_right)
+        np.minimum(at_right, _abs_diff(to_right_face[1], own_right), out=at_right)
+        at_left += at_right
+        return at_left
 
     m_weno = min_total(candidates.weno_left, candidates.weno_right)
     m_thinc = min_total(candidates.thinc_left, candidates.thinc_right)
@@ -245,12 +254,10 @@ def bvd4_select(candidates: CandidateSet) -> SelectionResult:
     with THINC applied to the cell and both neighbors alike (inadmissible
     neighbors contribute their WENO values); THINC wins only strictly.
     """
-    tbv_weno = np.abs(
-        _prev(candidates.weno_right) - candidates.weno_left
-    ) + np.abs(candidates.weno_right - _next(candidates.weno_left))
-    tbv_thinc = np.abs(
-        _prev(candidates.thinc_right) - candidates.thinc_left
-    ) + np.abs(candidates.thinc_right - _next(candidates.thinc_left))
+    tbv_weno = _abs_diff(_prev(candidates.weno_right), candidates.weno_left)
+    tbv_weno += _abs_diff(candidates.weno_right, _next(candidates.weno_left))
+    tbv_thinc = _abs_diff(_prev(candidates.thinc_right), candidates.thinc_left)
+    tbv_thinc += _abs_diff(candidates.thinc_right, _next(candidates.thinc_left))
     use_thinc = (tbv_thinc < tbv_weno) & candidates.admissible
     return _discrete_result(use_thinc, candidates)
 

@@ -12,10 +12,19 @@ wrap-around cells once per kernel call, one ghost cell per side for THINC
 and the admissibility test and two for the 5-point WENO-Z stencil, and every
 neighbour operand is a slice view of that one array.
 
-Every kernel keeps the operations and operand order of the formulas it was
-validated with, so results match the former whole-array-shift kernels bit
-for bit
-(tests/test_bitwise.py). One algebraically equivalent shortcut is
+WENO-Z's left face is its right-face formula read on the reversed stencil
+(the mirror symmetry of the upwind-biased stencil; Jiang & Shu, JCP 126,
+1996; Borges et al., JCP 227, 2008). So weno_z_field evaluates that formula
+once, over the padded field followed by its own reverse: the first half
+yields the right faces, the reversed second half the left faces, and the
+four stencils that straddle the seam between the halves are discarded.
+
+The kernels write their temporaries in place, never into an argument. An
+in-place update may swap the two operands of one + or *, which is exact;
+otherwise every kernel keeps the operations and operand order of the
+formulas it was validated with, so results match the former
+whole-array-shift kernels bit for bit (tests/test_bitwise.py,
+tests/test_no_mutation.py). One algebraically equivalent shortcut is
 deliberately not taken: reusing the right face's beta_0/beta_2, swapped,
 for the left face changes the last bit of the left values.
 """
@@ -23,6 +32,7 @@ for the left face changes the last bit of the left values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +74,14 @@ class ThincParams:
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
 
+    @cached_property
+    def cosh_beta(self) -> float:
+        return float(np.cosh(self.beta))
+
+    @cached_property
+    def tanh_beta(self) -> float:
+        return float(np.tanh(self.beta))
+
 
 def weno_z_pair(stencil5) -> BoundaryPair:
     """Boundary pair from a 5-cell stencil [q_{i-2}..q_{i+2}].
@@ -86,45 +104,83 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weighted by the tau5-enhanced nonlinear weights. The left value applies
     the same formula to the mirrored stencil.
 
-    Each product and second-difference term is computed once and read by
-    every face that uses it; each face still combines them in the operand
-    order of its own formula.
+    Both faces come from one evaluation of the right-face formula over the
+    mirrored line concat(g, g[::-1]), g the two-ghost-cell pad: position i
+    of the result is cell i's right face, position n+4+k is cell n-1-k's
+    left face, and the 4 positions n..n+3, whose stencils straddle the seam
+    between the two halves, are computed and ignored. Temporaries are
+    updated in place; every operation keeps its operands, at most swapping
+    the two of one + or *.
 
     Returns (left, right) arrays congruent with `values`.
     """
     n = values.shape[0]
     g = periodic_pad(values, 2)
-    two, four, five, seven = 2.0 * g, 4.0 * g, 5.0 * g, 7.0 * g
-    three_c, eleven_c = 3.0 * values, 11.0 * values
+    line = np.concatenate((g, g[::-1]))
+    m = line.shape[0] - 4  # stencil centres: the right faces, the seam, the left faces
 
-    def at(padded: np.ndarray, k: int) -> np.ndarray:
-        """Cell i + k of a two-ghost-cell array, for every cell i."""
-        return padded[2 + k : 2 + k + n]
+    def at(array: np.ndarray, k: int) -> np.ndarray:
+        """Entry j + k of a line-length array, for every stencil centre j."""
+        return array[2 + k : 2 + k + m]
 
-    # 13/12 (q_{k-1} - 2 q_k + q_{k+1})^2 at k = -1..n, in the right face's
-    # operand order and in the mirrored one; beta_0..beta_2 read it at
-    # k = i-1, i, i+1 (mirrored for the left face).
-    lo, twice_mid, hi = g[:-2], two[1:-1], g[2:]
-    curv_right = 13.0 / 12.0 * (lo - twice_mid + hi) ** 2
-    curv_left = 13.0 / 12.0 * (hi - twice_mid + lo) ** 2
-    slope = 0.25 * (at(g, -1) - at(g, 1)) ** 2  # (m1 - p1)^2 == (p1 - m1)^2
+    two, four, five = 2.0 * line, 4.0 * line, 5.0 * line
+    c = at(line, 0)
+    three_c = 3.0 * c
 
-    def face(s: int, curv: np.ndarray) -> np.ndarray:
-        """Value at face x_{i+s/2}: the stencil read in direction s = +1 or -1."""
-        m2, m1, p2 = at(g, -2 * s), at(g, -s), at(g, 2 * s)
-        b0 = curv[1 - s : 1 - s + n] + 0.25 * (m2 - at(four, -s) + three_c) ** 2
-        b1 = curv[1 : 1 + n] + slope
-        b2 = curv[1 + s : 1 + s + n] + 0.25 * (three_c - at(four, s) + p2) ** 2
-        tau5 = np.abs(b0 - b2)
-        a0 = _D0 * (1.0 + tau5 / (b0 + WENO_Z_EPS))
-        a1 = _D1 * (1.0 + tau5 / (b1 + WENO_Z_EPS))
-        a2 = _D2 * (1.0 + tau5 / (b2 + WENO_Z_EPS))
-        v0 = (at(two, -2 * s) - at(seven, -s) + eleven_c) / 6.0
-        v1 = (-m1 + at(five, 0) + at(two, s)) / 6.0
-        v2 = (at(two, 0) + at(five, s) - p2) / 6.0
-        return (a0 * v0 + a1 * v1 + a2 * v2) / (a0 + a1 + a2)
+    # 13/12 (q_{k-1} - 2 q_k + q_{k+1})^2 for every centre k; beta_0..beta_2
+    # read it at the sub-stencil centres j-1, j, j+1.
+    curv = line[:-2] - two[1:-1]
+    curv += line[2:]
+    np.square(curv, out=curv)
+    curv *= 13.0 / 12.0
 
-    return face(-1, curv_left), face(1, curv_right)
+    b0 = at(line, -2) - at(four, -1)
+    b0 += three_c
+    np.square(b0, out=b0)
+    b0 *= 0.25
+    b0 += curv[:m]
+    b1 = at(line, -1) - at(line, 1)
+    np.square(b1, out=b1)
+    b1 *= 0.25
+    b1 += curv[1 : 1 + m]
+    b2 = three_c - at(four, 1)
+    b2 += at(line, 2)
+    np.square(b2, out=b2)
+    b2 *= 0.25
+    b2 += curv[2 : 2 + m]
+    del four, three_c, curv  # dead from here on; freeing them lowers the peak
+
+    # b_k becomes the unnormalised weight a_k = d_k (1 + tau5 / (b_k + eps)).
+    tau5 = b0 - b2
+    np.abs(tau5, out=tau5)
+    for b, d in ((b0, _D0), (b1, _D1), (b2, _D2)):
+        b += WENO_Z_EPS
+        np.divide(tau5, b, out=b)
+        b += 1.0
+        b *= d
+    del tau5
+
+    v0 = 7.0 * at(line, -1)
+    np.subtract(at(two, -2), v0, out=v0)
+    v0 += 11.0 * c
+    v0 /= 6.0
+    v1 = -at(line, -1)
+    v1 += at(five, 0)
+    v1 += at(two, 1)
+    v1 /= 6.0
+    v2 = at(two, 0) + at(five, 1)
+    v2 -= at(line, 2)
+    v2 /= 6.0
+
+    v0 *= b0
+    v1 *= b1
+    v0 += v1
+    v2 *= b2
+    v0 += v2
+    b0 += b1
+    b0 += b2
+    left = slice(2 * n + 3, n + 3, -1)
+    return v0[left] / b0[left], v0[:n] / b0[:n]
 
 
 def thinc_pair(q_im1: float, q_i: float, q_ip1: float, params: ThincParams) -> BoundaryPair:
@@ -142,24 +198,43 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     """
     g = periodic_pad(values, 1)
     qm, qp = g[:-2], g[2:]
-    beta = params.beta
     qmin = np.minimum(qm, qp)
-    qmax = np.maximum(qm, qp) - qmin
-    theta = np.sign(qp - qm)
-    ratio = (values - qmin + params.eps) / (qmax + params.eps)
-    arg = np.minimum(
-        np.maximum(theta * beta * (2.0 * ratio - 1.0), -_THINC_EXP_CAP), _THINC_EXP_CAP
-    )
-    scaled = np.exp(arg) / np.cosh(beta)
-    tb = np.tanh(beta)
-    a = (scaled - 1.0) / tb
+    qmax = np.maximum(qm, qp)
+    qmax -= qmin
+    theta = qp - qm
+    np.sign(theta, out=theta)
+    ratio = values - qmin
+    ratio += params.eps
+    ratio /= qmax + params.eps
+    ratio *= 2.0
+    ratio -= 1.0
+    arg = theta * params.beta
+    arg *= ratio
+    np.maximum(arg, -_THINC_EXP_CAP, out=arg)
+    np.minimum(arg, _THINC_EXP_CAP, out=arg)
+    scaled = np.exp(arg)  # out of place: exp's SIMD path is not checked on aliased arrays
+    scaled /= params.cosh_beta
+    tb = params.tanh_beta
+    a = scaled - 1.0
+    a /= tb
     # 1 + a*tanh(beta) equals `scaled` exactly in real arithmetic; restore it
     # where rounding collapses the sum to zero (saturated inadmissible cells).
-    denom = 1.0 + a * tb
+    denom = a * tb
+    denom += 1.0
     denom = np.where(denom > 0.0, denom, scaled)
-    half_jump = 0.5 * qmax
-    left = qmin + half_jump * (1.0 + theta * a)
-    right = qmin + half_jump * (1.0 + theta * (tb + a) / denom)
+    half_jump = qmax
+    half_jump *= 0.5
+    left = theta * a
+    left += 1.0
+    left *= half_jump
+    left += qmin
+    right = a
+    right += tb
+    right *= theta
+    right /= denom
+    right += 1.0
+    right *= half_jump
+    right += qmin
     return left, right
 
 
@@ -186,7 +261,15 @@ def thinc_admissible_field(
     g = periodic_pad(values, 1)
     qm, qp = g[:-2], g[2:]
     qmin = np.minimum(qm, qp)
-    qmax = np.maximum(qm, qp) - qmin
-    ratio = (values - qmin + eps) / (qmax + eps)
-    monotone = (qp - values) * (values - qm) > 0.0
-    return (ratio > delta) & (ratio < 1.0 - delta) & monotone
+    qmax = np.maximum(qm, qp)
+    qmax -= qmin
+    qmax += eps
+    ratio = values - qmin
+    ratio += eps
+    ratio /= qmax
+    rise = qp - values
+    rise *= values - qm
+    admissible = ratio > delta
+    admissible &= ratio < 1.0 - delta
+    admissible &= rise > 0.0
+    return admissible

@@ -105,9 +105,12 @@ def riemann_flux(q_left, q_right, spec: FluxSpec):
     For linear advection the dissipation term makes this exact upwinding.
     Broadcasts over arrays.
     """
-    return 0.5 * (spec.flux(q_left) + spec.flux(q_right)) - 0.5 * spec.wave_speed * (
-        q_right - q_left
-    )
+    central = spec.flux(q_left) + spec.flux(q_right)
+    central *= 0.5
+    dissipation = q_right - q_left
+    dissipation *= 0.5 * spec.wave_speed
+    central -= dissipation
+    return central
 
 
 def _interface_states(
@@ -131,7 +134,10 @@ def _rhs_values(
     q_left, q_right, n_thinc, n_clamped = _interface_states(values, scheme)
     face_flux = riemann_flux(q_left, q_right, flux)
     flux_in = periodic_pad(face_flux, 1)[:-2]  # face j-1, the cell's left face
-    return -(face_flux - flux_in) / dx, n_thinc, n_clamped
+    dqdt = face_flux - flux_in
+    np.negative(dqdt, out=dqdt)
+    dqdt /= dx
+    return dqdt, n_thinc, n_clamped
 
 
 def rhs(field: CellField, scheme: SchemeConfig, flux: FluxSpec) -> np.ndarray:
@@ -149,13 +155,22 @@ def _ssp_rk3_values(
 
     Candidate selection is recomputed at every stage; the reported THINC
     count is the first stage's, i.e. the selection seen by the current data.
+    Each stage's RHS array is owned here, so the combination is written
+    into it in place, with the operands and order of the Shu-Osher formulas.
     """
-    k1, n_thinc, n_clamped = _rhs_values(values, dx, scheme, flux)
-    u1 = values + dt * k1
-    k2, _, c2 = _rhs_values(u1, dx, scheme, flux)
-    u2 = 0.75 * values + 0.25 * (u1 + dt * k2)
-    k3, _, c3 = _rhs_values(u2, dx, scheme, flux)
-    u3 = values / 3.0 + 2.0 / 3.0 * (u2 + dt * k3)
+    u1, n_thinc, n_clamped = _rhs_values(values, dx, scheme, flux)
+    u1 *= dt
+    u1 += values  # u1 = values + dt * k1
+    u2, _, c2 = _rhs_values(u1, dx, scheme, flux)
+    u2 *= dt
+    u2 += u1
+    u2 *= 0.25
+    u2 += 0.75 * values  # u2 = 0.75 * values + 0.25 * (u1 + dt * k2)
+    u3, _, c3 = _rhs_values(u2, dx, scheme, flux)
+    u3 *= dt
+    u3 += u2
+    u3 *= 2.0 / 3.0
+    u3 += values / 3.0  # u3 = values / 3 + 2/3 * (u2 + dt * k3)
     return u3, n_thinc, n_clamped + c2 + c3
 
 

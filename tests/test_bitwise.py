@@ -174,3 +174,49 @@ def test_thinc_params_built_once_per_config():
     assert config.thinc_params is config.thinc_params
     assert config.thinc_params == reconstruct.ThincParams(beta=2.5)
     assert dataclasses.replace(config, beta=3.0).thinc_params.beta == 3.0
+
+
+def extreme_fields(n: int, count: int = 6) -> list[np.ndarray]:
+    """Magnitudes 1e150 to 1e200, 1e-200 to 1e-150, and both mixed per cell.
+
+    WENO-Z's squared differences overflow to inf or underflow to zero, so its
+    weights turn into inf and nan (inf - inf, inf / inf), on both sides of
+    the mirrored line's seam.
+    """
+    rng = np.random.default_rng(1000 + n)
+    out = []
+    for k in range(count):
+        sign = (1.0, -1.0, rng.choice((-1.0, 1.0), n))[k % 3]
+        out.append(rng.standard_normal(n) * 10.0 ** (sign * rng.uniform(150.0, 200.0, n)))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 64, 2000])
+def test_kernels_match_at_extreme_magnitudes(n):
+    non_finite = 0
+    with np.errstate(all="ignore"):
+        for values in extreme_fields(n):
+            pairs = [
+                *zip(reconstruct.weno_z_field(values), ref.weno_z_field(values)),
+                *zip(reconstruct.thinc_field(values, PARAMS), ref.thinc_field(values, PARAMS)),
+                (
+                    reconstruct.thinc_admissible_field(values, DELTA),
+                    ref.thinc_admissible_field(values, DELTA),
+                ),
+            ]
+            for new, old in pairs:
+                assert np.array_equal(new, old, equal_nan=True)
+            non_finite += np.count_nonzero(~np.isfinite(ref.weno_z_field(values)[0]))
+    assert non_finite > 0
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", [5, 64, 2000])
+def test_stage_rhs_matches_at_extreme_magnitudes(scheme, n):
+    config = SchemeConfig(scheme)
+    with np.errstate(all="ignore"):
+        for values in extreme_fields(n):
+            new = solver._rhs_values(values, 0.01, config, FluxSpec())
+            old = ref._rhs_values(values, 0.01, config, FluxSpec())
+            assert np.array_equal(new[0], old[0], equal_nan=True)
+            assert new[1:] == old[1:]

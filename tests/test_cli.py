@@ -184,6 +184,11 @@ class TestModuleEntry:
         assert proc.returncode == 0, proc.stderr
         assert "usage" in proc.stdout.lower()
 
+    def test_python_m_bvd1d_cli_help_exits_zero(self):
+        proc = self.run_python("-m", "bvd1d.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "usage" in proc.stdout.lower()
+
     def test_import_does_not_load_the_entry_module(self):
         proc = self.run_python(
             "-c", "import sys, bvd1d; sys.exit('bvd1d.__main__' in sys.modules)"
