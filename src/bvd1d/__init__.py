@@ -26,19 +26,11 @@ from .experiments import (
     exact_advected,
     l1_error,
     linf_error,
-    reproduce_figure,
     run_benchmark,
     transition_width,
 )
-from .field import CellField, Grid1D, project_initial, stencil
-from .reconstruct import (
-    WENO_Z_EPS,
-    BoundaryPair,
-    ThincParams,
-    thinc_admissible,
-    thinc_pair,
-    weno_z_pair,
-)
+from .field import CellField, Grid1D, project_initial
+from .reconstruct import WENO_Z_EPS, ThincParams
 from .solver import (
     SCHEMES,
     BlowupError,
@@ -49,6 +41,7 @@ from .solver import (
     advect,
     rhs,
     riemann_flux,
+    select,
     ssp_rk3_step,
 )
 
@@ -57,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BVD3_EPS",
     "BlowupError",
-    "BoundaryPair",
     "CandidateSet",
     "CellField",
     "FIGURE_SCHEMES",
@@ -84,14 +76,10 @@ __all__ = [
     "l1_error",
     "linf_error",
     "project_initial",
-    "reproduce_figure",
     "rhs",
     "riemann_flux",
     "run_benchmark",
+    "select",
     "ssp_rk3_step",
-    "stencil",
-    "thinc_admissible",
-    "thinc_pair",
     "transition_width",
-    "weno_z_pair",
 ]

@@ -32,7 +32,6 @@ DEFAULTS = {
     "delta": 1e-4,
     "periods": 1.0,
     "profile": "complex_waves",
-    "seed": 0,
 }
 
 _CONVERGENCE_LADDER = (25, 50, 100, 200, 400)
@@ -50,7 +49,6 @@ class CliConfig:
     periods: float
     profile: str
     out_dir: Path
-    seed: int
     figure: int | None = None
     gnuplot: bool = False
 
@@ -79,7 +77,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--periods", type=float, help="advection periods to integrate")
     common.add_argument("--profile", help=f"initial profile, one of {', '.join(PROFILES)}")
     common.add_argument("--out", dest="out_dir", help="output directory for CSV files")
-    common.add_argument("--seed", type=int, help="seed recorded for randomized drivers")
     common.add_argument("--config", help="key=value file with defaults for the flags above")
     common.add_argument("--gnuplot", action="store_true", default=None,
                         help="also emit a gnuplot script per CSV")
@@ -99,7 +96,7 @@ def _read_config_file(path: str, parser: _Parser) -> dict:
     converters = {
         "scheme": str, "n_cells": int, "cfl": float, "beta": float,
         "s_cutoff": float, "delta": float, "periods": float,
-        "profile": str, "out_dir": str, "seed": int,
+        "profile": str, "out_dir": str,
     }
     values: dict = {}
     try:
@@ -174,7 +171,6 @@ def parse_args(argv: list[str]) -> CliConfig:
         periods=float(merged["periods"]),
         profile=str(merged["profile"]),
         out_dir=Path(out_dir),
-        seed=int(merged["seed"]),
         figure=figure,
         gnuplot=bool(ns.gnuplot),
     )
@@ -203,26 +199,22 @@ def _summary_row(label: str, n_cells: int, result) -> str:
     )
 
 
-def _emit_outputs(config: CliConfig, scheme: SchemeConfig, result, stem: str) -> None:
+def _run_with_outputs(config: CliConfig, scheme: SchemeConfig, profile: str, stem: str):
+    """run_benchmark on the configured grid, then the CSV (and gnuplot script)."""
+    result = run_benchmark(scheme, PROFILES[profile], n_cells=config.n_cells,
+                           periods=config.periods, cfl=config.cfl)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     omega = selection_weights(result.final.averages, scheme)
     csv_path = write_run_csv(config.out_dir / f"{stem}.csv", result.final.grid, result, omega)
     if config.gnuplot:
         title = f"{scheme.scheme} (beta = {scheme.beta:g}, N = {config.n_cells})"
         write_gnuplot_script(config.out_dir / f"{stem}.gp", csv_path, title)
+    return result
 
 
 def _cmd_run(config: CliConfig) -> int:
-    scheme = _scheme_config(config)
-    result = run_benchmark(
-        scheme,
-        PROFILES[config.profile],
-        n_cells=config.n_cells,
-        periods=config.periods,
-        cfl=config.cfl,
-    )
     stem = f"{config.scheme}_beta{config.beta:g}_{config.profile}_n{config.n_cells}"
-    _emit_outputs(config, scheme, result, stem)
+    result = _run_with_outputs(config, _scheme_config(config), config.profile, stem)
     print(_TABLE_HEADER)
     print(_summary_row(config.scheme, config.n_cells, result))
     return 0
@@ -230,14 +222,7 @@ def _cmd_run(config: CliConfig) -> int:
 
 def _cmd_reproduce(config: CliConfig) -> int:
     scheme = FIGURE_SCHEMES[config.figure]
-    result = run_benchmark(
-        scheme,
-        PROFILES["complex_waves"],
-        n_cells=config.n_cells,
-        periods=config.periods,
-        cfl=config.cfl,
-    )
-    _emit_outputs(config, scheme, result, stem=f"figure{config.figure}")
+    result = _run_with_outputs(config, scheme, "complex_waves", f"figure{config.figure}")
     print(_TABLE_HEADER)
     print(_summary_row(f"fig{config.figure}:{scheme.scheme}", config.n_cells, result))
     return 0
@@ -267,14 +252,7 @@ def _cmd_convergence(config: CliConfig) -> int:
 def _cmd_sweep(config: CliConfig) -> int:
     print(_TABLE_HEADER)
     for figure, scheme in FIGURE_SCHEMES.items():
-        result = run_benchmark(
-            scheme,
-            PROFILES["complex_waves"],
-            n_cells=config.n_cells,
-            periods=config.periods,
-            cfl=config.cfl,
-        )
-        _emit_outputs(config, scheme, result, stem=f"figure{figure}")
+        result = _run_with_outputs(config, scheme, "complex_waves", f"figure{figure}")
         label = f"{scheme.scheme}" + (f"(b={scheme.beta:g})" if scheme.beta != 1.8 else "")
         print(_summary_row(label, config.n_cells, result))
     return 0

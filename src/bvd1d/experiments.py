@@ -1,4 +1,4 @@
-"""Benchmark profiles, error metrics, and the complex-wave reproduction driver."""
+"""Benchmark profiles and runs, error metrics, and the CSV and gnuplot output."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bvd import SELECTORS, build_candidates, bvd3_select
 from .field import CellField, Grid1D, project_initial
-from .solver import FluxSpec, RunResult, SchemeConfig, TimeConfig, advect
+from .solver import FluxSpec, RunResult, SchemeConfig, TimeConfig, advect, select
 
 # Shape constants of the four-feature test profile (Gaussian hump, square
 # pulse, triangle, semi-ellipse) on [-1, 1].
@@ -278,41 +277,6 @@ def write_gnuplot_script(path: Path | str, csv_path: Path | str, title: str) -> 
     return path
 
 
-def reproduce_figure(
-    scheme: SchemeConfig,
-    n_cells: int = 200,
-    periods: float = 1.0,
-    cfl: float = 0.2,
-    out_dir: Path | str | None = None,
-    stem: str | None = None,
-    gnuplot: bool = False,
-) -> RunResult:
-    """Run the complex-wave benchmark at a figure configuration.
-
-    Writes `<stem>.csv` (and optionally `<stem>.gp`) under out_dir when one
-    is given; the stem defaults to the scheme name with its steepness.
-    """
-    profile = PROFILES["complex_waves"]
-    result = run_benchmark(scheme, profile, n_cells=n_cells, periods=periods, cfl=cfl)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if stem is None:
-            stem = f"{scheme.scheme}_beta{scheme.beta:g}_n{n_cells}"
-        grid = result.final.grid
-        omega = selection_weights(result.final.averages, scheme)
-        csv_path = write_run_csv(out_dir / f"{stem}.csv", grid, result, omega)
-        if gnuplot:
-            title = f"{scheme.scheme} (beta = {scheme.beta:g}, N = {n_cells})"
-            write_gnuplot_script(out_dir / f"{stem}.gp", csv_path, title)
-    return result
-
-
 def selection_weights(values: np.ndarray, scheme: SchemeConfig) -> np.ndarray:
     """Selection weights the scheme would use on the given data (CSV tag column)."""
-    if scheme.scheme == "wenoz":
-        return np.zeros(values.shape[0])
-    candidates = build_candidates(values, scheme.thinc_params, scheme.delta)
-    if scheme.scheme == "bvd3":
-        return bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff).omega
-    return SELECTORS[scheme.scheme](candidates).omega
+    return select(values, scheme).omega

@@ -81,18 +81,12 @@ def periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
     i, as a view, for any shift |s| <= width. Returns a new array.
     """
     n = values.shape[0]
-    if n < width:  # the stencil wraps round the grid more than once
+    if not 0 <= width <= n:
+        if width < 0:
+            raise ValueError(f"width must be >= 0, got {width}")
+        # the stencil wraps round the grid more than once
         return values.take(np.arange(-width, n + width), mode="wrap")
     return np.concatenate((values[n - width :], values, values[:width]))
-
-
-def stencil(field: CellField, i: int, half_width: int) -> np.ndarray:
-    """Periodic stencil q_{i-h}..q_{i+h} centered on cell i."""
-    if half_width < 0:
-        raise ValueError("half_width must be >= 0")
-    n = field.grid.n_cells
-    idx = np.arange(i - half_width, i + half_width + 1) % n
-    return field.averages[idx]
 
 
 def project_initial(

@@ -2,9 +2,7 @@
 
 Both reconstructions map cell averages to a pair of boundary values per
 cell: the value the in-cell profile takes at the cell's left face x_{i-1/2}
-and at its right face x_{i+1/2}. The whole-field kernels hold the one
-formula of each reconstruction; the per-cell functions evaluate them on the
-cell's 3- or 5-cell periodic window.
+and at its right face x_{i+1/2}.
 
 Periodic neighbours come from the ghost-cell layout (LeVeque, Finite Volume
 Methods for Hyperbolic Problems, 2002, ch. 7): field.periodic_pad copies the
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,13 +49,6 @@ _D0, _D1, _D2 = 0.1, 0.6, 0.3
 # consumed values are never affected; the cap only keeps boundary values
 # finite for the degenerate inputs that the admissibility test rejects.
 _THINC_EXP_CAP = 25.0
-
-
-class BoundaryPair(NamedTuple):
-    """Reconstructed values at a cell's own faces (left = x_{i-1/2})."""
-
-    left: float
-    right: float
 
 
 @dataclass(frozen=True)
@@ -81,19 +71,6 @@ class ThincParams:
     @cached_property
     def tanh_beta(self) -> float:
         return float(np.tanh(self.beta))
-
-
-def weno_z_pair(stencil5) -> BoundaryPair:
-    """Boundary pair from a 5-cell stencil [q_{i-2}..q_{i+2}].
-
-    The stencil is read as a periodic 5-cell field, whose middle cell sees
-    exactly these neighbours, and evaluated by weno_z_field.
-    """
-    window = np.array(stencil5, dtype=float)
-    if window.shape != (5,):
-        raise ValueError(f"stencil5 must hold 5 values, got shape {window.shape}")
-    left, right = weno_z_field(window)
-    return BoundaryPair(float(left[2]), float(right[2]))
 
 
 def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +160,6 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v0[left] / b0[left], v0[:n] / b0[:n]
 
 
-def thinc_pair(q_im1: float, q_i: float, q_ip1: float, params: ThincParams) -> BoundaryPair:
-    """THINC boundary pair for one cell from its three-cell neighborhood."""
-    left, right = thinc_field(np.array([q_im1, q_i, q_ip1], dtype=float), params)
-    return BoundaryPair(float(left[1]), float(right[1]))
-
-
 def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell THINC boundary pairs over a periodic field.
 
@@ -238,24 +209,11 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     return left, right
 
 
-def thinc_admissible(
-    q_im1: float, q_i: float, q_ip1: float, delta: float, eps: float = 1e-20
-) -> bool:
-    """Whether the sigmoid fit is usable in this cell.
-
-    Requires the cell average to sit strictly inside the neighbor range
-    (delta < C < 1-delta for the normalized position C of thinc_pair) and
-    the local data to be strictly monotone. Cells failing either condition
-    keep the polynomial reconstruction.
-    """
-    window = np.array([q_im1, q_i, q_ip1], dtype=float)
-    return bool(thinc_admissible_field(window, delta, eps)[1])
-
-
 def thinc_admissible_field(
     values: np.ndarray, delta: float, eps: float = 1e-20
 ) -> np.ndarray:
-    """Vectorized admissibility mask over a periodic field."""
+    """Per-cell mask of where the sigmoid fit is usable: the normalized cell
+    position C lies in (delta, 1 - delta) and the data are strictly monotone."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
     g = periodic_pad(values, 1)

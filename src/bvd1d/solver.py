@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bvd import SELECTORS, build_candidates, bvd3_select
+from .bvd import SELECTORS, SelectionResult, build_candidates, bvd3_select
 from .field import CellField, periodic_pad
 from .reconstruct import ThincParams, weno_z_field
 
@@ -65,7 +65,6 @@ class TimeConfig:
     t_end: float
     cfl: float = 0.2
     dt: float | None = None
-    integrator: str = "ssp-rk3"
 
     def __post_init__(self) -> None:
         if self.t_end < 0.0:
@@ -74,8 +73,6 @@ class TimeConfig:
             raise ValueError("cfl must lie in (0, 1]")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.integrator != "ssp-rk3":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass
@@ -113,31 +110,33 @@ def riemann_flux(q_left, q_right, spec: FluxSpec):
     return central
 
 
-def _interface_states(
-    values: np.ndarray, scheme: SchemeConfig
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(q^L, q^R) per face plus (thinc cell count, clamped cell count)."""
+def select(values: np.ndarray, scheme: SchemeConfig) -> SelectionResult:
+    """The scheme's interface states and per-cell THINC weights on the given data.
+
+    wenoz takes WENO-Z's faces with omega = 0; a BVD scheme builds both
+    candidates and applies its selection rule.
+    """
     if scheme.scheme == "wenoz":
         left_of_cell, right_of_cell = weno_z_field(values)
-        return right_of_cell, periodic_pad(left_of_cell, 1)[2:], 0, 0
+        return SelectionResult(
+            np.zeros(values.shape[0]), right_of_cell, periodic_pad(left_of_cell, 1)[2:]
+        )
     candidates = build_candidates(values, scheme.thinc_params, scheme.delta)
     if scheme.scheme == "bvd3":
-        sel = bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff)
-    else:
-        sel = SELECTORS[scheme.scheme](candidates)
-    return sel.face_left, sel.face_right, sel.thinc_cells, sel.n_clamped
+        return bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff)
+    return SELECTORS[scheme.scheme](candidates)
 
 
 def _rhs_values(
     values: np.ndarray, dx: float, scheme: SchemeConfig, flux: FluxSpec
 ) -> tuple[np.ndarray, int, int]:
-    q_left, q_right, n_thinc, n_clamped = _interface_states(values, scheme)
-    face_flux = riemann_flux(q_left, q_right, flux)
+    sel = select(values, scheme)
+    face_flux = riemann_flux(sel.face_left, sel.face_right, flux)
     flux_in = periodic_pad(face_flux, 1)[:-2]  # face j-1, the cell's left face
     dqdt = face_flux - flux_in
     np.negative(dqdt, out=dqdt)
     dqdt /= dx
-    return dqdt, n_thinc, n_clamped
+    return dqdt, sel.thinc_cells, sel.n_clamped
 
 
 def rhs(field: CellField, scheme: SchemeConfig, flux: FluxSpec) -> np.ndarray:

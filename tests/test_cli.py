@@ -44,6 +44,7 @@ class TestParseArgs:
             ["reproduce", "--figure", "9"],
             ["reproduce"],
             ["badcommand"],
+            ["run", "--seed", "3"],
         ],
     )
     def test_usage_errors_exit_with_one(self, argv):

@@ -8,8 +8,8 @@ from bvd1d.experiments import (
     exact_advected,
     l1_error,
     linf_error,
-    reproduce_figure,
     run_benchmark,
+    selection_weights,
     transition_width,
     write_gnuplot_script,
     write_run_csv,
@@ -157,6 +157,14 @@ class TestBenchmarkInvariants:
             assert widest > mid >= sharp
 
 
+def write_figure_csv(path, scheme, n_cells, periods):
+    """What `bvd1d run` writes: the benchmark run plus its selection tags."""
+    result = run_benchmark(scheme, PROFILES["complex_waves"], n_cells=n_cells, periods=periods)
+    omega = selection_weights(result.final.averages, scheme)
+    write_run_csv(path, result.final.grid, result, omega)
+    return result
+
+
 class TestFigureOutputs:
     def test_figure_table_covers_all_schemes(self):
         schemes = {cfg.scheme for cfg in FIGURE_SCHEMES.values()}
@@ -164,12 +172,8 @@ class TestFigureOutputs:
         assert FIGURE_SCHEMES[6].beta == 4.0
 
     def test_csv_format_and_determinism(self, tmp_path):
-        result = reproduce_figure(
-            SchemeConfig("bvd4"), n_cells=50, periods=0.2, out_dir=tmp_path, stem="a"
-        )
-        reproduce_figure(
-            SchemeConfig("bvd4"), n_cells=50, periods=0.2, out_dir=tmp_path, stem="b"
-        )
+        result = write_figure_csv(tmp_path / "a.csv", SchemeConfig("bvd4"), 50, 0.2)
+        write_figure_csv(tmp_path / "b.csv", SchemeConfig("bvd4"), 50, 0.2)
         first = (tmp_path / "a.csv").read_bytes()
         second = (tmp_path / "b.csv").read_bytes()
         assert first == second
@@ -180,9 +184,7 @@ class TestFigureOutputs:
         assert result.l1_error is not None
 
     def test_tag_column_marks_selected_cells(self, tmp_path):
-        reproduce_figure(
-            SchemeConfig("bvd4"), n_cells=50, periods=0.2, out_dir=tmp_path, stem="run"
-        )
+        write_figure_csv(tmp_path / "run.csv", SchemeConfig("bvd4"), 50, 0.2)
         tags = [line.split(",")[3] for line in
                 (tmp_path / "run.csv").read_text().splitlines()[1:]]
         assert set(tags) <= {"W", "T"}

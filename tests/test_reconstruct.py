@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from bvd1d.field import Grid1D
-from bvd1d.reconstruct import (
-    ThincParams,
-    thinc_admissible,
-    thinc_admissible_field,
-    thinc_field,
-    thinc_pair,
-    weno_z_field,
-    weno_z_pair,
-)
+from bvd1d.reconstruct import ThincParams, thinc_admissible_field, thinc_field, weno_z_field
 
 from oracles import (
     implied_jump_center,
@@ -22,18 +14,35 @@ from oracles import (
 )
 
 
+def weno_z_cell(window):
+    """WENO-Z (left, right) faces of cell 2 of the periodic 5-cell window."""
+    left, right = weno_z_field(np.array(window, dtype=float))
+    return left[2], right[2]
+
+
+def thinc_cell(qm, qc, qp, params):
+    """THINC (left, right) faces of cell 1 of the periodic window (qm, qc, qp)."""
+    left, right = thinc_field(np.array([qm, qc, qp], dtype=float), params)
+    return left[1], right[1]
+
+
+def admissible_cell(qm, qc, qp, delta):
+    """Admissibility of cell 1 of the periodic window (qm, qc, qp)."""
+    return thinc_admissible_field(np.array([qm, qc, qp], dtype=float), delta)[1]
+
+
 class TestWenoZ:
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.7, 1e6])
     def test_constant_reproduction(self, c):
-        pair = weno_z_pair([c] * 5)
-        assert pair.left == pytest.approx(c, rel=1e-14, abs=0.0)
-        assert pair.right == pytest.approx(c, rel=1e-14, abs=0.0)
+        left, right = weno_z_cell([c] * 5)
+        assert left == pytest.approx(c, rel=1e-14, abs=0.0)
+        assert right == pytest.approx(c, rel=1e-14, abs=0.0)
 
     def test_linear_data_gives_linear_interface_values(self):
         # every candidate polynomial reproduces linear data exactly
-        pair = weno_z_pair([0.0, 1.0, 2.0, 3.0, 4.0])
-        assert pair.left == pytest.approx(1.5, abs=1e-12)
-        assert pair.right == pytest.approx(2.5, abs=1e-12)
+        left, right = weno_z_cell([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert left == pytest.approx(1.5, abs=1e-12)
+        assert right == pytest.approx(2.5, abs=1e-12)
 
     def test_symmetric_quartic_reproduces_interpolant(self):
         # cell averages of x^4 on unit cells centered at -2..2; the unique
@@ -41,9 +50,9 @@ class TestWenoZ:
         # Symmetry makes the outer smoothness indicators equal, which turns
         # the nonlinear weights into the linear ones.
         averages = [18.0125, 1.5125, 0.0125, 1.5125, 18.0125]
-        pair = weno_z_pair(averages)
-        assert pair.left == pytest.approx(0.0625, abs=1e-10)
-        assert pair.right == pytest.approx(0.0625, abs=1e-10)
+        left, right = weno_z_cell(averages)
+        assert left == pytest.approx(0.0625, abs=1e-10)
+        assert right == pytest.approx(0.0625, abs=1e-10)
 
     def test_fifth_order_on_smooth_stencil(self):
         # interface-value error for sin cell averages drops ~2^5 per halving
@@ -52,8 +61,8 @@ class TestWenoZ:
         for dx in (0.1, 0.05, 0.025):
             centers = x0 + dx * np.arange(-2, 3)
             averages = (np.cos(centers - 0.5 * dx) - np.cos(centers + 0.5 * dx)) / dx
-            pair = weno_z_pair(averages)
-            errors.append(abs(pair.right - np.sin(x0 + 0.5 * dx)))
+            left, right = weno_z_cell(averages)
+            errors.append(abs(right - np.sin(x0 + 0.5 * dx)))
         for coarse, fine in zip(errors, errors[1:]):
             assert 32.0 * 0.8 <= coarse / fine <= 32.0 * 1.2
 
@@ -74,63 +83,61 @@ class TestWenoZ:
         left, right = weno_z_field(values)
         for i in range(12):
             window = values[(np.arange(i - 2, i + 3)) % 12]
-            pair = weno_z_pair(window)
-            assert pair.left == left[i]
-            assert pair.right == right[i]
+            assert weno_z_cell(window) == (left[i], right[i])
 
 
 class TestThinc:
     def test_frozen_values_beta_1_8(self):
         # expected values from root-finding the jump center and evaluating
         # the sigmoid at the faces (independent of the closed-form algebra)
-        pair = thinc_pair(0.0, 0.5, 1.0, ThincParams(beta=1.8))
-        assert pair.left == pytest.approx(0.141851064900488, abs=1e-12)
-        assert pair.right == pytest.approx(0.858148935099512, abs=1e-12)
+        left, right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=1.8))
+        assert left == pytest.approx(0.141851064900488, abs=1e-12)
+        assert right == pytest.approx(0.858148935099512, abs=1e-12)
 
     def test_frozen_values_beta_4_0(self):
-        pair = thinc_pair(0.0, 0.5, 1.0, ThincParams(beta=4.0))
-        assert pair.left == pytest.approx(0.017986209962092, abs=1e-12)
-        assert pair.right == pytest.approx(0.982013790037908, abs=1e-12)
+        left, right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=4.0))
+        assert left == pytest.approx(0.017986209962092, abs=1e-12)
+        assert right == pytest.approx(0.982013790037908, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 1.8, 4.0, 8.0])
     def test_centered_jump_is_symmetric(self, beta):
-        pair = thinc_pair(0.0, 0.5, 1.0, ThincParams(beta=beta))
-        assert abs(pair.left + pair.right - 1.0) < 1e-12
+        left, right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=beta))
+        assert abs(left + right - 1.0) < 1e-12
 
     def test_mirrored_triplet_swaps_faces(self):
         params = ThincParams(beta=1.8)
-        rising = thinc_pair(0.0, 0.5, 1.0, params)
-        falling = thinc_pair(1.0, 0.5, 0.0, params)
-        assert falling.left == pytest.approx(rising.right, abs=1e-14)
-        assert falling.right == pytest.approx(rising.left, abs=1e-14)
+        rising_left, rising_right = thinc_cell(0.0, 0.5, 1.0, params)
+        falling_left, falling_right = thinc_cell(1.0, 0.5, 0.0, params)
+        assert falling_left == pytest.approx(rising_right, abs=1e-14)
+        assert falling_right == pytest.approx(rising_left, abs=1e-14)
 
     def test_larger_beta_sharpens_faces(self):
-        gentle = thinc_pair(0.0, 0.5, 1.0, ThincParams(beta=1.8))
-        steep = thinc_pair(0.0, 0.5, 1.0, ThincParams(beta=4.0))
-        assert steep.right > gentle.right
-        assert steep.left < gentle.left
+        gentle_left, gentle_right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=1.8))
+        steep_left, steep_right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=4.0))
+        assert steep_right > gentle_right
+        assert steep_left < gentle_left
 
     def test_equal_neighbors_degenerate_to_their_value(self):
-        pair = thinc_pair(2.0, 7.0, 2.0, ThincParams(beta=1.8))
-        assert pair.left == pytest.approx(2.0)
-        assert pair.right == pytest.approx(2.0)
+        left, right = thinc_cell(2.0, 7.0, 2.0, ThincParams(beta=1.8))
+        assert left == pytest.approx(2.0)
+        assert right == pytest.approx(2.0)
 
     def test_extreme_inputs_stay_finite(self):
         params = ThincParams(beta=1.8)
         for triplet in [(0.0, 1.0, 1e-30), (0.0, -1.0, 1e-300), (1e9, -1e9, 1e9)]:
-            pair = thinc_pair(*triplet, params)
-            assert np.isfinite(pair.left) and np.isfinite(pair.right)
+            left, right = thinc_cell(*triplet, params)
+            assert np.isfinite(left) and np.isfinite(right)
 
     def test_admissible_faces_bounded_by_neighbors(self):
         rng = np.random.RandomState(2)
         params = ThincParams(beta=1.8)
         for _ in range(200):
             qm, qc, qp = random_admissible_triplet(rng)
-            assert thinc_admissible(qm, qc, qp, delta=1e-4)
-            pair = thinc_pair(qm, qc, qp, params)
+            assert admissible_cell(qm, qc, qp, delta=1e-4)
+            left, right = thinc_cell(qm, qc, qp, params)
             lo, hi = min(qm, qp), max(qm, qp)
-            assert lo < pair.left < hi
-            assert lo < pair.right < hi
+            assert lo < left < hi
+            assert lo < right < hi
 
     @pytest.mark.parametrize("beta", [1.8, 4.0])
     def test_faces_match_root_found_jump_center(self, beta):
@@ -143,9 +150,9 @@ class TestThinc:
             theta = 1.0 if qp > qm else -1.0
             expected_left = sigmoid_profile(0.0, center, qmin, qjump, theta, beta)
             expected_right = sigmoid_profile(1.0, center, qmin, qjump, theta, beta)
-            pair = thinc_pair(qm, qc, qp, params)
-            assert pair.left == pytest.approx(expected_left, abs=1e-10)
-            assert pair.right == pytest.approx(expected_right, abs=1e-10)
+            left, right = thinc_cell(qm, qc, qp, params)
+            assert left == pytest.approx(expected_left, abs=1e-10)
+            assert right == pytest.approx(expected_right, abs=1e-10)
 
     def test_cell_average_consistency(self):
         # integrating the reconstruction with the implied jump center
@@ -164,9 +171,8 @@ class TestThinc:
         params = ThincParams(beta=1.8)
         left, right = thinc_field(values, params)
         for i in range(9):
-            pair = thinc_pair(values[i - 1], values[i], values[(i + 1) % 9], params)
-            assert pair.left == left[i]
-            assert pair.right == right[i]
+            cell = thinc_cell(values[i - 1], values[i], values[(i + 1) % 9], params)
+            assert cell == (left[i], right[i])
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -177,30 +183,30 @@ class TestThinc:
 
 class TestAdmissibility:
     def test_centered_monotone_triplet_admissible(self):
-        assert thinc_admissible(0.0, 0.5, 1.0, delta=1e-4)
+        assert admissible_cell(0.0, 0.5, 1.0, delta=1e-4)
 
     def test_extremum_rejected(self):
-        assert not thinc_admissible(0.0, 1.0, 0.5, delta=1e-4)
+        assert not admissible_cell(0.0, 1.0, 0.5, delta=1e-4)
 
     def test_near_edge_position_rejected(self):
         # normalized cell position ~1e-6 falls below delta
-        assert not thinc_admissible(0.0, 1e-6, 1.0, delta=1e-4)
+        assert not admissible_cell(0.0, 1e-6, 1.0, delta=1e-4)
 
     def test_flat_neighbors_rejected(self):
-        assert not thinc_admissible(1.0, 1.0, 1.0, delta=1e-4)
+        assert not admissible_cell(1.0, 1.0, 1.0, delta=1e-4)
 
     def test_field_mask_matches_scalar(self):
         rng = np.random.RandomState(6)
         values = rng.uniform(-1.0, 1.0, 11)
         mask = thinc_admissible_field(values, delta=1e-4)
         for i in range(11):
-            expected = thinc_admissible(
+            expected = admissible_cell(
                 values[i - 1], values[i], values[(i + 1) % 11], delta=1e-4
             )
             assert mask[i] == expected
 
     def test_delta_range_enforced(self):
         with pytest.raises(ValueError):
-            thinc_admissible(0.0, 0.5, 1.0, delta=0.5)
+            admissible_cell(0.0, 0.5, 1.0, delta=0.5)
         with pytest.raises(ValueError):
             thinc_admissible_field(np.zeros(4), delta=0.0)
