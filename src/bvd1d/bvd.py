@@ -241,7 +241,7 @@ def bvd3_select(
         degenerate, 0.0, (d_left * e_left + d_right * e_right) / np.where(degenerate, 1.0, denom)
     )
     omega = np.where(blend, np.minimum(np.maximum(raw, 0.0), 1.0), 0.0)
-    n_clamped = int(np.count_nonzero(blend & ~degenerate & ((raw < 0.0) | (raw > 1.0))))
+    n_clamped = int(np.count_nonzero(blend & ((raw < 0.0) | (raw > 1.0))))
 
     face_left, face_right = assemble_interfaces(omega, candidates)
     return SelectionResult(omega, face_left, face_right, n_clamped=n_clamped)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,17 +44,12 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
         if self.s_cutoff <= 0.0:
             raise ValueError("s_cutoff must be positive")
-
-    @cached_property
-    def thinc_params(self) -> ThincParams:
-        """Built and validated once per config, not once per RK stage."""
-        return ThincParams(beta=self.beta)
+        # ThincParams checks beta; built once per config, not once per RK stage
+        object.__setattr__(self, "thinc_params", ThincParams(beta=self.beta))
 
 
 @dataclass(frozen=True)

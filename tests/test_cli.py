@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,11 @@ class TestParseArgs:
             ["reproduce"],
             ["badcommand"],
             ["run", "--seed", "3"],
+            ["sweep", "--beta", "4"],
+            ["reproduce", "--figure", "1", "--scheme", "bvd1"],
+            ["reproduce", "--figure", "1", "--profile", "sine"],
+            ["convergence", "--n", "50"],
+            ["convergence", "--gnuplot"],
         ],
     )
     def test_usage_errors_exit_with_one(self, argv):
@@ -79,6 +85,21 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as excinfo:
             cli.parse_args(["run", "--config", str(cfg)])
         assert excinfo.value.code == 1
+
+    def test_config_file_key_the_command_does_not_read_rejected(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("beta=2\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.parse_args(["sweep", "--config", str(cfg)])
+        assert excinfo.value.code == 1
+
+    def test_config_file_underscore_and_long_keys(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_cells = 80\nout_dir = {tmp_path / 'cfgout'}\ns_cutoff = 2e5\n")
+        config = cli.parse_args(["run", "--config", str(cfg)])
+        assert config.n_cells == 80
+        assert config.out_dir == tmp_path / "cfgout"
+        assert config.s_cutoff == 2e5
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BVD_OUT_DIR", str(tmp_path / "envout"))
@@ -189,6 +210,21 @@ class TestModuleEntry:
         proc = self.run_python("-m", "bvd1d.cli", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage" in proc.stdout.lower()
+
+    SUBCOMMAND_FLAGS = {
+        "run": "--n --out --gnuplot --cfl --periods --config "
+               "--scheme --beta --s-cutoff --delta --profile",
+        "reproduce": "--n --out --gnuplot --cfl --periods --config --figure",
+        "convergence": "--cfl --periods --config --scheme --beta --s-cutoff --delta --profile",
+        "sweep": "--n --out --gnuplot --cfl --periods --config",
+    }
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+    def test_subcommand_help_lists_only_its_flags(self, command):
+        proc = self.run_python("-m", "bvd1d", command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout)) - {"--help"}
+        assert listed == set(self.SUBCOMMAND_FLAGS[command].split())
 
     def test_import_does_not_load_the_entry_module(self):
         proc = self.run_python(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvd1d.bvd import build_candidates
 from bvd1d.experiments import PROFILES, l1_error
 from bvd1d.field import CellField, Grid1D, project_initial
 from bvd1d.solver import (
@@ -15,9 +16,9 @@ from bvd1d.solver import (
     select,
     ssp_rk3_step,
 )
-from bvd1d.reconstruct import thinc_admissible_field
+from bvd1d.reconstruct import ThincParams, thinc_admissible_field
 
-from oracles import sine_cell_averages
+from oracles import brute_force_bvd1_tags, brute_force_bvd2_tags, sine_cell_averages
 
 ALL_SCHEMES = ["wenoz", "bvd1", "bvd2", "bvd3", "bvd4"]
 
@@ -54,7 +55,25 @@ def zigzag_fields():
     )
 
 
+def random_fields():
+    """Cell averages in [-1e3, 1e3] on 5 to 64 cells."""
+    return st.integers(5, 64).flatmap(
+        lambda n: st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    ).map(np.array)
+
+
 class TestSelect:
+    @settings(max_examples=300, deadline=None)
+    @given(values=random_fields(), beta=st.sampled_from([1.8, 4.0]))
+    def test_tags_match_brute_force_and_weights_lie_in_unit_interval(self, values, beta):
+        cs = build_candidates(values, ThincParams(beta=beta), SchemeConfig.delta)
+        oracles = {"bvd1": brute_force_bvd1_tags, "bvd2": brute_force_bvd2_tags}
+        for scheme in ALL_SCHEMES:
+            omega = select(values, SchemeConfig(scheme, beta=beta)).omega
+            assert np.all((omega >= 0.0) & (omega <= 1.0)), scheme
+            if scheme in oracles:
+                assert ["T" if w == 1.0 else "W" for w in omega] == oracles[scheme](cs), scheme
+
     @settings(max_examples=300, deadline=None)
     @given(values=zigzag_fields())
     def test_no_admissible_cell_falls_back_to_wenoz_bitwise(self, values):
