@@ -41,6 +41,10 @@ class CandidateSet:
     Cells where THINC is inadmissible carry the cell's WENO pair in the
     thinc_* slots, so any selector formula that touches a neighbor's THINC
     value automatically falls back to that neighbor's polynomial values.
+    For bvd1 and bvd2, where THINC enters only through a strict comparison,
+    that fallback is all the admissibility needed. bvd4 reads the mask (THINC
+    on the neighbours alone can win its cell group), and bvd3 evaluates its
+    pow-heavy smoothness indicator on admissible cells only.
     """
 
     weno_left: np.ndarray
@@ -147,11 +151,10 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
     """
     own = (candidates.weno_right, candidates.thinc_right)
     nbr = (_next(candidates.weno_left), _next(candidates.thinc_left))
-    adm_own = candidates.admissible
-    adm_nbr = _next(adm_own)
 
     # First minimum in combo order: a later combination must be strictly
-    # smaller, and a THINC value takes part only where it is admissible.
+    # smaller. Where a cell's thinc_* slots hold its WENO pair, a combination
+    # using them ties an earlier one bit for bit and so never wins.
     signed_right = own[0] - nbr[0]
     magnitude = np.abs(signed_right)
     best = np.zeros(signed_right.shape, dtype=np.intp)
@@ -159,10 +162,6 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
         signed_k = own[xi] - nbr[eta]
         magnitude_k = np.abs(signed_k)
         take = magnitude_k < magnitude
-        if xi:
-            take &= adm_own
-        if eta:
-            take &= adm_nbr
         np.copyto(magnitude, magnitude_k, where=take)
         np.copyto(signed_right, signed_k, where=take)
         np.copyto(best, k, where=take)
@@ -174,7 +173,7 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
     agree = nominate_from_right == nominate_from_left
     conflict_takes_weno = signed_right * signed_left < 0.0
     use_thinc = np.where(agree, nominate_from_right, ~conflict_takes_weno)
-    return _discrete_result(use_thinc & candidates.admissible, candidates)
+    return _discrete_result(use_thinc, candidates)
 
 
 def bvd2_select(candidates: CandidateSet) -> SelectionResult:
@@ -199,15 +198,11 @@ def bvd2_select(candidates: CandidateSet) -> SelectionResult:
 
     m_weno = min_total(candidates.weno_left, candidates.weno_right)
     m_thinc = min_total(candidates.thinc_left, candidates.thinc_right)
-    use_thinc = (m_thinc < m_weno) & candidates.admissible
-    return _discrete_result(use_thinc, candidates)
+    return _discrete_result(m_thinc < m_weno, candidates)
 
 
 def bvd3_select(
-    candidates: CandidateSet,
-    averages: np.ndarray,
-    s_cutoff: float = 1e6,
-    eps3: float = BVD3_EPS,
+    candidates: CandidateSet, averages: np.ndarray, s_cutoff: float = 1e6
 ) -> SelectionResult:
     """Smoothness-gated blending of the two candidates.
 
@@ -228,15 +223,15 @@ def bvd3_select(
     padded = periodic_pad(averages, 1)
     jumps = np.stack((d_left, d_right, averages - padded[:-2], averages - padded[2:]))
     d4_left, d4_right, dq4_left, dq4_right = jumps[:, adm] ** 4
-    tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + eps3)
-    smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, eps3)
+    tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)
+    smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
     blend = np.zeros_like(adm)
     blend[adm] = smoothness < s_cutoff
 
     e_left = candidates.thinc_left - candidates.weno_left
     e_right = candidates.thinc_right - candidates.weno_right
     denom = e_left**2 + e_right**2
-    degenerate = denom < eps3
+    degenerate = denom < BVD3_EPS
     raw = np.where(
         degenerate, 0.0, (d_left * e_left + d_right * e_right) / np.where(degenerate, 1.0, denom)
     )

@@ -73,14 +73,13 @@ def gaussian_profile(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Profile:
-    """Named initial condition with its periodic domain and jump metadata."""
+    """Named initial condition with its periodic domain and its 0-to-1 jump edges."""
 
     name: str
     func: Callable[[np.ndarray], np.ndarray]
     x_left: float = -1.0
     x_right: float = 1.0
     jump_edges: tuple[float, ...] = ()
-    jump_levels: tuple[float, float] = (0.0, 1.0)
 
     def period(self, speed: float) -> float:
         """Advection period: one full domain traversal."""
@@ -174,13 +173,12 @@ def transition_width(
 def measure_jump_widths(
     field: CellField, profile: Profile, shift: float = 0.0
 ) -> list[int]:
-    """Transition widths at the profile's known jump edges (shifted by advection)."""
+    """Widths of the 0-to-1 transitions at the profile's jump edges (shifted by advection)."""
     length = profile.x_right - profile.x_left
-    lo, hi = profile.jump_levels
     widths = []
     for edge in profile.jump_edges:
         hint = np.mod(edge + shift - profile.x_left, length) + profile.x_left
-        widths.append(transition_width(field, lo, hi, hint))
+        widths.append(transition_width(field, 0.0, 1.0, hint))
     return widths
 
 
@@ -190,22 +188,20 @@ def run_benchmark(
     n_cells: int = 200,
     periods: float = 1.0,
     cfl: float = 0.2,
-    speed: float = 1.0,
 ) -> RunResult:
-    """Advect a named profile and score it against the exact solution."""
+    """Advect a named profile at unit speed and score it against the exact solution."""
     grid = Grid1D(n_cells, profile.x_left, profile.x_right)
     initial = project_initial(grid, profile.func)
-    t_end = periods * profile.period(speed)
-    flux = FluxSpec(speed)
-    result = advect(initial, flux, TimeConfig(t_end=t_end, cfl=cfl), scheme)
+    t_end = periods * profile.period(1.0)
+    result = advect(initial, FluxSpec(), TimeConfig(t_end=t_end, cfl=cfl), scheme)
 
     if periods == int(periods):
         exact = CellField(grid, initial.averages.copy())
     else:
-        exact = exact_advected(profile, grid, speed, t_end)
+        exact = exact_advected(profile, grid, 1.0, t_end)
     widths: list[int] = []
     if profile.jump_edges:
-        widths = measure_jump_widths(field=result.final, profile=profile, shift=speed * t_end)
+        widths = measure_jump_widths(field=result.final, profile=profile, shift=t_end)
     return dataclasses.replace(
         result,
         exact=exact,

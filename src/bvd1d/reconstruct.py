@@ -8,7 +8,8 @@ Periodic neighbours come from the ghost-cell layout (LeVeque, Finite Volume
 Methods for Hyperbolic Problems, 2002, ch. 7): field.periodic_pad copies the
 wrap-around cells once per kernel call, one ghost cell per side for THINC
 and the admissibility test and two for the 5-point WENO-Z stencil, and every
-neighbour operand is a slice view of that one array.
+neighbour operand is a slice view of that one array. THINC and its
+admissibility test share one definition of the jump position, _jump_position.
 
 WENO-Z's left face is its right-face formula read on the reversed stencil
 (the mirror symmetry of the upwind-biased stencil; Jiang & Shu, JCP 126,
@@ -160,6 +161,19 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v0[left] / b0[left], v0[:n] / b0[:n]
 
 
+def _jump_position(values: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
+    """Neighbour views qm, qp, their min and span, and C = (q - qmin + eps) / (span + eps)."""
+    g = periodic_pad(values, 1)
+    qm, qp = g[:-2], g[2:]
+    qmin = np.minimum(qm, qp)
+    span = np.maximum(qm, qp)
+    span -= qmin
+    position = values - qmin
+    position += eps
+    position /= span + eps
+    return qm, qp, qmin, span, position
+
+
 def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell THINC boundary pairs over a periodic field.
 
@@ -167,16 +181,9 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     jump-center position is fixed by cell-average consistency; the boundary
     values below are its exact face evaluations, no root solve needed.
     """
-    g = periodic_pad(values, 1)
-    qm, qp = g[:-2], g[2:]
-    qmin = np.minimum(qm, qp)
-    qmax = np.maximum(qm, qp)
-    qmax -= qmin
+    qm, qp, qmin, span, ratio = _jump_position(values, params.eps)
     theta = qp - qm
     np.sign(theta, out=theta)
-    ratio = values - qmin
-    ratio += params.eps
-    ratio /= qmax + params.eps
     ratio *= 2.0
     ratio -= 1.0
     arg = theta * params.beta
@@ -193,7 +200,7 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     denom = a * tb
     denom += 1.0
     denom = np.where(denom > 0.0, denom, scaled)
-    half_jump = qmax
+    half_jump = span
     half_jump *= 0.5
     left = theta * a
     left += 1.0
@@ -210,21 +217,13 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
 
 
 def thinc_admissible_field(
-    values: np.ndarray, delta: float, eps: float = 1e-20
+    values: np.ndarray, delta: float, eps: float = ThincParams.eps
 ) -> np.ndarray:
     """Per-cell mask of where the sigmoid fit is usable: the normalized cell
     position C lies in (delta, 1 - delta) and the data are strictly monotone."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    g = periodic_pad(values, 1)
-    qm, qp = g[:-2], g[2:]
-    qmin = np.minimum(qm, qp)
-    qmax = np.maximum(qm, qp)
-    qmax -= qmin
-    qmax += eps
-    ratio = values - qmin
-    ratio += eps
-    ratio /= qmax
+    qm, qp, _, _, ratio = _jump_position(values, eps)
     rise = qp - values
     rise *= values - qm
     admissible = ratio > delta

@@ -71,6 +71,7 @@ class TestSelect:
         for scheme in ALL_SCHEMES:
             omega = select(values, SchemeConfig(scheme, beta=beta)).omega
             assert np.all((omega >= 0.0) & (omega <= 1.0)), scheme
+            assert np.all(omega[~cs.admissible] == 0.0), scheme
             if scheme in oracles:
                 assert ["T" if w == 1.0 else "W" for w in omega] == oracles[scheme](cs), scheme
 
