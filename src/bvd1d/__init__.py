@@ -39,10 +39,8 @@ from .solver import (
     SchemeConfig,
     TimeConfig,
     advect,
-    rhs,
     riemann_flux,
     select,
-    ssp_rk3_step,
 )
 
 __version__ = "0.1.0"
@@ -76,10 +74,8 @@ __all__ = [
     "l1_error",
     "linf_error",
     "project_initial",
-    "rhs",
     "riemann_flux",
     "run_benchmark",
     "select",
-    "ssp_rk3_step",
     "transition_width",
 ]

@@ -86,7 +86,7 @@ def build_candidates(
     """Evaluate both reconstructions and the admissibility test per cell."""
     wl, wr = weno_z_field(values)
     tl, tr = thinc_field(values, params)
-    adm = thinc_admissible_field(values, delta, params.eps)
+    adm = thinc_admissible_field(values, delta)
     return CandidateSet(
         weno_left=wl,
         weno_right=wr,

@@ -96,9 +96,7 @@ PROFILES = {
 }
 
 
-def exact_advected(
-    profile: Profile, grid: Grid1D, speed: float, t: float, quadrature_order: int = 5
-) -> CellField:
+def exact_advected(profile: Profile, grid: Grid1D, speed: float, t: float) -> CellField:
     """Cell averages of the exact solution: the initial profile shifted by speed*t."""
     length = profile.x_right - profile.x_left
 
@@ -106,7 +104,7 @@ def exact_advected(
         pos = np.mod(x - speed * t - profile.x_left, length) + profile.x_left
         return profile.func(pos)
 
-    return project_initial(grid, shifted, quadrature_order)
+    return project_initial(grid, shifted)
 
 
 def _check_congruent(a: CellField, b: CellField) -> None:
@@ -125,49 +123,32 @@ def linf_error(final: CellField, reference: CellField) -> float:
     return float(np.abs(final.averages - reference.averages).max())
 
 
-def transition_width(
-    field: CellField, jump_lo: float, jump_hi: float, location_hint: float
-) -> int:
-    """Cell count of a numerical discontinuity near location_hint.
+def transition_width(field: CellField, location_hint: float) -> int:
+    """Cell count of a numerical 0-to-1 discontinuity near location_hint.
 
-    Counts the consecutive cells strictly inside the 10%-90% band of the
-    jump amplitude across the monotone transition nearest the hint, plus
-    one, so a jump resolved within a single face scores 1. Raises if no
-    transition exists within 10 cells of the hint.
+    Counts the consecutive cells strictly inside the 10%-90% band across the
+    monotone transition nearest the hint, plus one, so a jump resolved within
+    a single face scores 1; of two equally near transitions the left one
+    wins. Raises if no transition exists within 10 cells of the hint.
     """
-    if jump_hi <= jump_lo:
-        raise ValueError("jump_hi must exceed jump_lo")
     grid = field.grid
-    n = grid.n_cells
-    lo_band = jump_lo + 0.1 * (jump_hi - jump_lo)
-    hi_band = jump_lo + 0.9 * (jump_hi - jump_lo)
-
     hint_cell = int(np.floor((location_hint - grid.x_left) / grid.dx))
     window = np.arange(hint_cell - 10, hint_cell + 11)
-    values = field.averages[window % n]
+    values = field.averages[window % grid.n_cells]
     # -1 below the band, +1 above, 0 strictly inside
-    bands = np.where(values <= lo_band, -1, np.where(values >= hi_band, 1, 0))
+    bands = np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))
 
-    best_width = None
-    best_distance = None
-    center = (len(window) - 1) / 2.0
-    for start in range(len(window) - 1):
-        if bands[start] == 0:
-            continue
-        for stop in range(start + 1, len(window)):
-            if bands[stop] == 0:
-                continue
-            if bands[stop] == -bands[start]:
-                distance = abs(0.5 * (start + stop) - center)
-                if best_distance is None or distance < best_distance:
-                    best_distance = distance
-                    best_width = stop - start  # intermediate cells + 1
-            break
-    if best_width is None:
+    # a transition is a pair of consecutive out-of-band cells on opposite sides
+    outside = np.flatnonzero(bands)
+    start, stop = outside[:-1], outside[1:]
+    crosses = bands[start] != bands[stop]
+    start, stop = start[crosses], stop[crosses]
+    if start.size == 0:
         raise ValueError(
             f"no monotone transition within 10 cells of x = {location_hint:g}"
         )
-    return best_width
+    nearest = np.argmin(np.abs(0.5 * (start + stop) - 10.0))  # the first on ties
+    return int(stop[nearest] - start[nearest])  # intermediate cells + 1
 
 
 def measure_jump_widths(
@@ -178,7 +159,7 @@ def measure_jump_widths(
     widths = []
     for edge in profile.jump_edges:
         hint = np.mod(edge + shift - profile.x_left, length) + profile.x_left
-        widths.append(transition_width(field, 0.0, 1.0, hint))
+        widths.append(transition_width(field, hint))
     return widths
 
 
@@ -235,15 +216,11 @@ def _tag_strings(omega: np.ndarray) -> list[str]:
     return tags
 
 
-def write_run_csv(
-    path: Path | str, grid: Grid1D, result: RunResult, omega: np.ndarray | None = None
-) -> Path:
+def write_run_csv(path: Path | str, grid: Grid1D, result: RunResult, omega: np.ndarray) -> Path:
     """Write (x_center, q_avg, q_exact, tag) rows; deterministic formatting."""
     path = Path(path)
     if result.exact is None:
         raise ValueError("result carries no exact reference field")
-    if omega is None:
-        omega = np.zeros(grid.n_cells)
     tags = _tag_strings(omega)
     lines = ["x_center,q_avg,q_exact,tag"]
     for x, q, e, tag in zip(

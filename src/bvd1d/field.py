@@ -12,9 +12,7 @@ import numpy as np
 class Grid1D:
     """Uniform 1D grid of non-overlapping cells with periodic topology.
 
-    Cell i covers [x_left + i*dx, x_left + (i+1)*dx]; both neighbors of a
-    shared face compute the face coordinate from the same expression, so
-    face(i, right) == face(i+1, left) exactly.
+    Cell i covers [x_left + i*dx, x_left + (i+1)*dx].
     """
 
     n_cells: int
@@ -36,15 +34,6 @@ class Grid1D:
     @property
     def cell_centers(self) -> np.ndarray:
         return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    @property
-    def faces(self) -> np.ndarray:
-        """All n_cells+1 face coordinates; faces[i+1] is x_{i+1/2}."""
-        return self.x_left + np.arange(self.n_cells + 1) * self.dx
-
-    @property
-    def length(self) -> float:
-        return self.x_right - self.x_left
 
 
 @dataclass
@@ -89,19 +78,14 @@ def periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate((values[n - width :], values, values[:width]))
 
 
-def project_initial(
-    grid: Grid1D, profile: Callable[[np.ndarray], np.ndarray], quadrature_order: int = 5
-) -> CellField:
-    """Cell-average a pointwise profile with per-cell Gauss-Legendre quadrature.
+def project_initial(grid: Grid1D, profile: Callable[[np.ndarray], np.ndarray]) -> CellField:
+    """Cell-average a pointwise profile with per-cell 5-point Gauss-Legendre quadrature.
 
-    The default 5-point rule integrates polynomials up to degree 9 exactly;
-    discontinuous profiles are projected by the same rule (jump locations in
-    the bundled benchmarks sit on cell faces, so no sub-cell splitting is
-    needed).
+    The rule integrates polynomials up to degree 9 exactly; discontinuous
+    profiles are projected by the same rule (jump locations in the bundled
+    benchmarks sit on cell faces, so no sub-cell splitting is needed).
     """
-    if quadrature_order < 1:
-        raise ValueError("quadrature_order must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
+    nodes, weights = np.polynomial.legendre.leggauss(5)
     half_dx = 0.5 * grid.dx
     points = grid.cell_centers[:, None] + half_dx * nodes[None, :]
     values = np.asarray(profile(points.ravel()), dtype=float).reshape(points.shape)

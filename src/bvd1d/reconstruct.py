@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,16 +55,14 @@ _THINC_EXP_CAP = 25.0
 
 @dataclass(frozen=True)
 class ThincParams:
-    """Sigmoid-reconstruction parameters: jump steepness and division guard."""
+    """Sigmoid-reconstruction parameters: jump steepness, plus the fixed division guard."""
 
     beta: float = 1.8
-    eps: float = 1e-20
+    eps: ClassVar[float] = 1e-20
 
     def __post_init__(self) -> None:
         if self.beta <= 0.0:
             raise ValueError("beta must be positive")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
 
     @cached_property
     def cosh_beta(self) -> float:
@@ -161,7 +160,7 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v0[left] / b0[left], v0[:n] / b0[:n]
 
 
-def _jump_position(values: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
+def _jump_position(values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Neighbour views qm, qp, their min and span, and C = (q - qmin + eps) / (span + eps)."""
     g = periodic_pad(values, 1)
     qm, qp = g[:-2], g[2:]
@@ -169,8 +168,8 @@ def _jump_position(values: np.ndarray, eps: float) -> tuple[np.ndarray, ...]:
     span = np.maximum(qm, qp)
     span -= qmin
     position = values - qmin
-    position += eps
-    position /= span + eps
+    position += ThincParams.eps
+    position /= span + ThincParams.eps
     return qm, qp, qmin, span, position
 
 
@@ -181,7 +180,7 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     jump-center position is fixed by cell-average consistency; the boundary
     values below are its exact face evaluations, no root solve needed.
     """
-    qm, qp, qmin, span, ratio = _jump_position(values, params.eps)
+    qm, qp, qmin, span, ratio = _jump_position(values)
     theta = qp - qm
     np.sign(theta, out=theta)
     ratio *= 2.0
@@ -216,14 +215,12 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     return left, right
 
 
-def thinc_admissible_field(
-    values: np.ndarray, delta: float, eps: float = ThincParams.eps
-) -> np.ndarray:
+def thinc_admissible_field(values: np.ndarray, delta: float) -> np.ndarray:
     """Per-cell mask of where the sigmoid fit is usable: the normalized cell
     position C lies in (delta, 1 - delta) and the data are strictly monotone."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    qm, qp, _, _, ratio = _jump_position(values, eps)
+    qm, qp, _, _, ratio = _jump_position(values)
     rise = qp - values
     rise *= values - qm
     admissible = ratio > delta

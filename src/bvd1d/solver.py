@@ -133,14 +133,6 @@ def _rhs_values(
     return dqdt, sel.thinc_cells, sel.n_clamped
 
 
-def rhs(field: CellField, scheme: SchemeConfig, flux: FluxSpec) -> np.ndarray:
-    """Semi-discrete time derivative of the cell averages."""
-    dqdt, _, _ = _rhs_values(field.averages, field.grid.dx, scheme, flux)
-    if not np.all(np.isfinite(dqdt)):
-        raise BlowupError("non-finite values in the semi-discrete RHS")
-    return dqdt
-
-
 def _ssp_rk3_values(
     values: np.ndarray, dt: float, dx: float, scheme: SchemeConfig, flux: FluxSpec
 ) -> tuple[np.ndarray, int, int]:
@@ -165,16 +157,6 @@ def _ssp_rk3_values(
     u3 *= 2.0 / 3.0
     u3 += values / 3.0  # u3 = values / 3 + 2/3 * (u2 + dt * k3)
     return u3, n_thinc, n_clamped + c2 + c3
-
-
-def ssp_rk3_step(
-    field: CellField, dt: float, scheme: SchemeConfig, flux: FluxSpec
-) -> CellField:
-    """Advance one step with the 3-stage strong-stability-preserving scheme."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    updated, _, _ = _ssp_rk3_values(field.averages, dt, field.grid.dx, scheme, flux)
-    return CellField(field.grid, updated)
 
 
 def advect(

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 
 def sine_cell_averages(grid, freq: float = 2.0 * np.pi) -> np.ndarray:
     """Exact cell averages of sin(freq*x): (cos(left) - cos(right)) / (freq*dx)."""
-    faces = grid.faces
+    faces = grid.x_left + np.arange(grid.n_cells + 1) * grid.dx
     return (np.cos(freq * faces[:-1]) - np.cos(freq * faces[1:])) / (freq * grid.dx)
 
 
@@ -107,6 +107,51 @@ def scan_bvd3_omegas(
         mismatch = (d_left - grid * e_left) ** 2 + (d_right - grid * e_right) ** 2
         omegas[i] = grid[np.argmin(mismatch)]
     return omegas
+
+
+def scan_transition_width(
+    field: CellField, jump_lo: float, jump_hi: float, location_hint: float
+) -> int:
+    """Cell count of a numerical discontinuity near location_hint.
+
+    Counts the consecutive cells strictly inside the 10%-90% band of the
+    jump amplitude across the monotone transition nearest the hint, plus
+    one, so a jump resolved within a single face scores 1. Raises if no
+    transition exists within 10 cells of the hint.
+    """
+    if jump_hi <= jump_lo:
+        raise ValueError("jump_hi must exceed jump_lo")
+    grid = field.grid
+    n = grid.n_cells
+    lo_band = jump_lo + 0.1 * (jump_hi - jump_lo)
+    hi_band = jump_lo + 0.9 * (jump_hi - jump_lo)
+
+    hint_cell = int(np.floor((location_hint - grid.x_left) / grid.dx))
+    window = np.arange(hint_cell - 10, hint_cell + 11)
+    values = field.averages[window % n]
+    # -1 below the band, +1 above, 0 strictly inside
+    bands = np.where(values <= lo_band, -1, np.where(values >= hi_band, 1, 0))
+
+    best_width = None
+    best_distance = None
+    center = (len(window) - 1) / 2.0
+    for start in range(len(window) - 1):
+        if bands[start] == 0:
+            continue
+        for stop in range(start + 1, len(window)):
+            if bands[stop] == 0:
+                continue
+            if bands[stop] == -bands[start]:
+                distance = abs(0.5 * (start + stop) - center)
+                if best_distance is None or distance < best_distance:
+                    best_distance = distance
+                    best_width = stop - start  # intermediate cells + 1
+            break
+    if best_width is None:
+        raise ValueError(
+            f"no monotone transition within 10 cells of x = {location_hint:g}"
+        )
+    return best_width
 
 
 def sigmoid_profile(s, center: float, qmin: float, qjump: float, theta: float, beta: float):

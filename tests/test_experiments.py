@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvd1d.experiments import (
     FIGURE_SCHEMES,
@@ -16,6 +19,8 @@ from bvd1d.experiments import (
 )
 from bvd1d.field import CellField, Grid1D, project_initial
 from bvd1d.solver import SchemeConfig
+
+from oracles import scan_transition_width
 
 
 def field_on_unit(values):
@@ -75,34 +80,48 @@ class TestTransitionWidth:
     def test_sharp_step_scores_one(self):
         values = [0.0] * 8 + [1.0] * 8
         field = field_on_unit(values)
-        assert transition_width(field, 0.0, 1.0, 0.5) == 1
+        assert transition_width(field, 0.5) == 1
 
     def test_staircase_counts_intermediates_plus_one(self):
         values = [0.0] * 6 + [0.25, 0.5, 0.75] + [1.0] * 7
         field = field_on_unit(values)
-        assert transition_width(field, 0.0, 1.0, 0.45) == 4
+        assert transition_width(field, 0.45) == 4
 
     def test_falling_edge_measured_too(self):
         values = [1.0] * 6 + [0.6, 0.3] + [0.0] * 8
         field = field_on_unit(values)
-        assert transition_width(field, 0.0, 1.0, 0.45) == 3
+        assert transition_width(field, 0.45) == 3
 
     def test_flat_field_raises(self):
         field = field_on_unit([0.5] * 16)
         with pytest.raises(ValueError, match="transition"):
-            transition_width(field, 0.0, 1.0, 0.5)
-
-    def test_bad_levels_rejected(self):
-        field = field_on_unit([0.0] * 8 + [1.0] * 8)
-        with pytest.raises(ValueError):
-            transition_width(field, 1.0, 0.0, 0.5)
+            transition_width(field, 0.5)
 
     def test_nearest_transition_wins(self):
         # two steps; the hint picks the closer one
         values = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.25, 0.0]
         field = field_on_unit(values)
-        assert transition_width(field, 0.0, 1.0, 0.2) == 2
-        assert transition_width(field, 0.0, 1.0, 0.8) == 3
+        assert transition_width(field, 0.2) == 2
+        assert transition_width(field, 0.8) == 3
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([-0.5, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5]),
+                        min_size=1, max_size=59),
+        hint=st.floats(0.0, 1.0),
+    )
+    def test_matches_pairwise_scan(self, values, hint):
+        # same width, or the same error, as the oracle's scan over every
+        # pair of out-of-band cells, which keeps the first of equally near
+        # transitions by a strict <
+        field = field_on_unit(values)
+        try:
+            expected = scan_transition_width(field, 0.0, 1.0, hint)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                transition_width(field, hint)
+        else:
+            assert transition_width(field, hint) == expected
 
 
 class TestExactAdvected:
@@ -196,7 +215,7 @@ class TestFigureOutputs:
                                n_cells=40, periods=0.0)
         result.exact = None
         with pytest.raises(ValueError, match="reference"):
-            write_run_csv(tmp_path / "run.csv", result.final.grid, result)
+            write_run_csv(tmp_path / "run.csv", result.final.grid, result, np.zeros(40))
 
     def test_gnuplot_script_emission(self, tmp_path):
         script = write_gnuplot_script(tmp_path / "run.gp", tmp_path / "run.csv", "demo")

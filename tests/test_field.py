@@ -15,18 +15,12 @@ class TestGrid1D:
     def test_dx_and_length(self):
         grid = Grid1D(4, 0.0, 1.0)
         assert grid.dx == 0.25
-        assert grid.length == 1.0
-
-    def test_shared_faces_are_identical(self):
-        grid = Grid1D(7, -1.0, 1.0)
-        faces = grid.faces
-        # right face of cell i and left face of cell i+1 are the same entry
-        assert faces.shape == (8,)
-        assert np.all(np.diff(faces) > 0.0)
+        assert grid.n_cells * grid.dx == 1.0
 
     def test_cell_centers_between_faces(self):
         grid = Grid1D(5, -1.0, 1.0)
-        assert np.allclose(grid.cell_centers, 0.5 * (grid.faces[:-1] + grid.faces[1:]))
+        faces = grid.x_left + np.arange(6) * grid.dx  # cell i covers faces[i]..faces[i+1]
+        assert np.allclose(grid.cell_centers, 0.5 * (faces[:-1] + faces[1:]))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -93,9 +87,5 @@ class TestProjectInitial:
 
     def test_sine_matches_analytic_cell_averages(self):
         grid = Grid1D(10, 0.0, 1.0)
-        field = project_initial(grid, lambda x: np.sin(2.0 * np.pi * x), quadrature_order=5)
+        field = project_initial(grid, lambda x: np.sin(2.0 * np.pi * x))
         assert np.allclose(field.averages, sine_cell_averages(grid), atol=1e-12)
-
-    def test_rejects_bad_quadrature_order(self):
-        with pytest.raises(ValueError):
-            project_initial(Grid1D(4, 0.0, 1.0), lambda x: x, quadrature_order=0)
