@@ -53,10 +53,6 @@ class CandidateSet:
     thinc_right: np.ndarray
     admissible: np.ndarray
 
-    @property
-    def n_cells(self) -> int:
-        return self.weno_left.shape[0]
-
 
 @dataclass
 class SelectionResult:
@@ -76,8 +72,8 @@ class SelectionResult:
 
     @property
     def thinc_cells(self) -> int:
-        """Cells where the THINC candidate contributes (omega > 0)."""
-        return int(np.count_nonzero(self.omega > 0.0))
+        """Cells where the THINC candidate contributes (omega > 0; omega lies in [0, 1])."""
+        return int(np.count_nonzero(self.omega))
 
 
 def build_candidates(

@@ -124,7 +124,7 @@ _TABLE_HEADER = (
 
 
 def _summary_row(label: str, n_cells: int, result) -> str:
-    widths = ",".join(str(w) for w in result.transition_widths) or "-"
+    widths = ",".join("-" if w is None else str(w) for w in result.transition_widths) or "-"
     return (
         f"{label:<12}{n_cells:>6}{result.l1_error:>13.4e}{result.linf_error:>13.4e}  "
         f"{widths:<10}{result.t_cell_fraction:>8.3f}{result.wall_time:>8.2f}s"

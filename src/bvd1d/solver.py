@@ -11,7 +11,7 @@ from .bvd import SELECTORS, SelectionResult, build_candidates, bvd3_select
 from .field import CellField, periodic_pad
 from .reconstruct import ThincParams, weno_z_field
 
-SCHEMES = ("wenoz", "bvd1", "bvd2", "bvd3", "bvd4")
+SCHEMES = ("wenoz", *SELECTORS)
 
 
 class BlowupError(RuntimeError):
@@ -87,7 +87,7 @@ class RunResult:
     exact: CellField | None = None
     l1_error: float | None = None
     linf_error: float | None = None
-    transition_widths: list[int] = dc_field(default_factory=list)
+    transition_widths: list[int | None] = dc_field(default_factory=list)
 
 
 def riemann_flux(q_left, q_right, spec: FluxSpec):
@@ -175,17 +175,10 @@ def advect(
     grid = initial.grid
     t_start = _time.perf_counter()
     if time.t_end == 0.0 or flux.wave_speed == 0.0:
-        return RunResult(
-            final=CellField(grid, initial.averages.copy()),
-            n_steps=0,
-            mass_drift=0.0,
-            t_cells_per_step=np.zeros(0, dtype=int),
-            t_cell_fraction=0.0,
-            wall_time=_time.perf_counter() - t_start,
-        )
-
-    dt = time.dt if time.dt is not None else time.cfl * grid.dx / flux.wave_speed
-    n_steps = max(1, int(np.ceil(time.t_end / dt - 1e-12)))
+        n_steps = 0  # an empty window: the loop below runs zero times
+    else:
+        dt = time.dt if time.dt is not None else time.cfl * grid.dx / flux.wave_speed
+        n_steps = max(1, int(np.ceil(time.t_end / dt - 1e-12)))
     mass0 = initial.mass()
     mass_scale = max(abs(mass0), float(np.abs(initial.averages).sum() * grid.dx), 1e-300)
 
@@ -210,7 +203,7 @@ def advect(
         n_steps=n_steps,
         mass_drift=abs(final.mass() - mass0) / mass_scale,
         t_cells_per_step=t_counts,
-        t_cell_fraction=float(t_counts.mean()) / grid.n_cells,
+        t_cell_fraction=float(t_counts.mean()) / grid.n_cells if n_steps else 0.0,
         wall_time=_time.perf_counter() - t_start,
         clamped_cells=clamped,
     )

@@ -22,7 +22,7 @@ def sine_cell_averages(grid, freq: float = 2.0 * np.pi) -> np.ndarray:
 
 def brute_force_bvd1_tags(cs) -> list[str]:
     """Exhaustive two-stage minimization over all candidate pairs per face."""
-    n = cs.n_cells
+    n = len(cs.weno_left)
     per_face = []
     for j in range(n):
         jp = (j + 1) % n
@@ -57,7 +57,7 @@ def brute_force_bvd1_tags(cs) -> list[str]:
 
 def brute_force_bvd2_tags(cs) -> list[str]:
     """Exhaustive minimum-total-variation comparison per cell."""
-    n = cs.n_cells
+    n = len(cs.weno_left)
     tags = []
     for i in range(n):
         im, ip = (i - 1) % n, (i + 1) % n
@@ -89,7 +89,7 @@ def scan_bvd3_omegas(
     n_grid: int = 10001,
 ) -> np.ndarray:
     """Blend weights by direct minimization of the mismatch over a [0,1] grid."""
-    n = cs.n_cells
+    n = len(cs.weno_left)
     grid = np.linspace(0.0, 1.0, n_grid)
     omegas = np.zeros(n)
     for i in range(n):

@@ -125,7 +125,7 @@ def _discrete_result(use_thinc: np.ndarray, candidates: CandidateSet) -> Selecti
 
 
 def bvd1_select(candidates: CandidateSet) -> SelectionResult:
-    n = candidates.n_cells
+    n = len(candidates.weno_left)
     own = (candidates.weno_right, candidates.thinc_right)
     nbr = (np.roll(candidates.weno_left, -1), np.roll(candidates.thinc_left, -1))
     adm_own = candidates.admissible

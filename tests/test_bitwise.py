@@ -104,7 +104,7 @@ def test_selectors_and_interfaces_match(label, values):
 
 def test_tied_face_pairs_keep_the_earliest_combination():
     candidates = tie_candidates()
-    values = np.linspace(0.0, 1.0, candidates.n_cells)
+    values = np.linspace(0.0, 1.0, len(candidates.weno_left))
     for name in ("bvd1", "bvd2", "bvd3", "bvd4"):
         new = select(bvd.SELECTORS, name, candidates, values)
         assert_same_selection(new, select(ref.SELECTORS, name, candidates, values))

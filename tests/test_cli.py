@@ -186,6 +186,19 @@ class TestMain:
         out = capsys.readouterr().out
         assert "wenoz" in out and "bvd4(b=4)" in out
 
+    def test_sweep_finishes_when_jumps_smear_past_the_width_window(self, tmp_path, capsys):
+        # 20 periods on 10 cells leave no 10-90 % transition near either
+        # jump edge: the width column reads "-", and every figure is written
+        code = cli.main(
+            ["sweep", "--n", "10", "--periods", "20", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        for figure in range(1, 7):
+            assert (tmp_path / f"figure{figure}.csv").exists()
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 6
+        assert all(row.split()[4] == "-,-" for row in rows)
+
 
 class TestModuleEntry:
     @staticmethod

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,9 +193,16 @@ class TestAdvect:
     def test_zero_speed_returns_initial_exactly(self):
         rng = np.random.RandomState(23)
         field = make_field(rng.uniform(-1.0, 1.0, 30))
-        result = advect(field, FluxSpec(0.0), TimeConfig(t_end=1.0), SchemeConfig("bvd1"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no mean of an empty step record
+            result = advect(field, FluxSpec(0.0), TimeConfig(t_end=1.0), SchemeConfig("bvd1"))
         assert result.n_steps == 0
         assert np.array_equal(result.final.averages, field.averages)
+        assert result.final.averages is not field.averages
+        assert result.t_cells_per_step.size == 0
+        assert result.t_cell_fraction == 0.0
+        assert result.mass_drift == 0.0
+        assert result.clamped_cells == 0
 
     def test_zero_time_returns_initial_exactly(self):
         field = make_field(np.arange(12.0))

@@ -1,0 +1,119 @@
+"""Summarise paired benchmark runs of a parent and a change checkout as one JSON file.
+
+    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
+
+Each directory is a checkout whose perfbench/out/ holds the --trace 0 result
+files of `perfbench/run.py`, one per workload and seed. A run of the parent
+and a run of the change on the same workload and seed form a pair. For each
+workload and end-to-end metric of BENCHMARK.json, the output records both
+medians and IQRs over the runs' reported values, and in how many pairs the
+change was better. The provenance adds what the result files leave out:
+numpy's kernel dispatch for exp and power, and the OpenBLAS core. Nothing
+in bvd1d imports this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import glob
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+from numpy.lib import introspect
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def load_runs(checkout: Path) -> dict[str, dict[int, dict]]:
+    """{workload: {seed: result record}} of the checkout's --trace 0 runs."""
+    runs: dict[str, dict[int, dict]] = {}
+    for path in sorted((checkout / "perfbench" / "out").glob("result-*-trace0.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        runs.setdefault(record["workload"], {})[record["provenance"]["seed"]] = record
+    return runs
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def openblas_core() -> str | None:
+    """The core OpenBLAS picked at load, for numpy wheels that bundle scipy-openblas."""
+    for lib in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*"):
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except AttributeError:
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def kernel_dispatch() -> dict[str, str]:
+    """The float64 loop numpy dispatches exp and power to, e.g. X86_V4."""
+    info = introspect.opt_func_info(func_name="^exp$|^power$", signature="^d+$")
+    return {name: next(iter(loops.values()))["current"] for name, loops in info.items()}
+
+
+def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    out = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        seeds = sorted(parent[workload].keys() & change[workload].keys())
+        pairs = [(parent[workload][s], change[workload][s]) for s in seeds]
+        entry = {
+            "seeds": seeds,
+            "failed": {
+                "parent": sum(p["failed"] for p, _ in pairs),
+                "change": sum(c["failed"] for _, c in pairs),
+            },
+        }
+        for metric in metrics:
+            name, lower = metric["name"], metric["better"] == "lower"
+            before = [p["metrics"][name]["value"] for p, _ in pairs]
+            after = [c["metrics"][name]["value"] for _, c in pairs]
+            wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+            entry[name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": quartiles(before),
+                "change": quartiles(after),
+                "change_wins": wins,
+                "pairs": len(pairs),
+            }
+        out[workload] = entry
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="parent checkout")
+    parser.add_argument("change", type=Path, help="change checkout")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = parser.parse_args(argv)
+
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    workloads = summarise(parent, change, metrics)
+    if not workloads:
+        raise SystemExit("no workload has result files in both checkouts")
+    first = {side: next(iter(next(iter(runs.values())).values()))
+             for side, runs in (("parent", parent), ("change", change))}
+    provenance = {key: value for key, value in first["change"]["provenance"].items()
+                  if key not in ("seed", "commit", "source_sha256")}
+    provenance.update(numpy_dispatch=kernel_dispatch(), openblas_core=openblas_core())
+    summary = {
+        "seconds": first["change"]["seconds"],
+        "trace": 0,
+        "source_sha256": {side: r["provenance"]["source_sha256"] for side, r in first.items()},
+        "provenance": provenance,
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
