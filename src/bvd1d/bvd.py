@@ -44,7 +44,7 @@ class CandidateSet:
     For bvd1 and bvd2, where THINC enters only through a strict comparison,
     that fallback is all the admissibility needed. bvd4 reads the mask (THINC
     on the neighbours alone can win its cell group), and bvd3 evaluates its
-    pow-heavy smoothness indicator on admissible cells only.
+    smoothness indicator on admissible cells only.
     """
 
     weno_left: np.ndarray
@@ -207,18 +207,18 @@ def bvd3_select(
     THINC into WENO with the weight that minimizes the squared mismatch to
     the neighbors' WENO face values; the quadratic has the closed-form
     stationary point implemented below. The weight is clamped to [0, 1].
-    Only admissible cells can blend, so S is evaluated on those alone: its
-    x**4 goes through pow, which dominates the selector at large N. (Writing
-    it as products would be cheaper but changes the last bit.)
+    Only admissible cells can blend, so S is evaluated on those alone, from
+    exact squarings that do not depend on numpy's power dispatch.
     """
-    if s_cutoff <= 0.0:
+    if not s_cutoff > 0.0:
         raise ValueError("s_cutoff must be positive")
     adm = candidates.admissible
     d_left = _prev(candidates.weno_right) - candidates.weno_left
     d_right = _next(candidates.weno_left) - candidates.weno_right
     padded = periodic_pad(averages, 1)
     jumps = np.stack((d_left, d_right, averages - padded[:-2], averages - padded[2:]))
-    d4_left, d4_right, dq4_left, dq4_right = jumps[:, adm] ** 4
+    fourth = np.square(jumps[:, adm])
+    d4_left, d4_right, dq4_left, dq4_right = np.square(fourth, out=fourth)
     tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)
     smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
     blend = np.zeros_like(adm)

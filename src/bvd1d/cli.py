@@ -109,7 +109,7 @@ def parse_args(argv: list[str]) -> Namespace:
     if "n_cells" in ns and ns.n_cells < 10:
         parser.error(f"need at least 10 cells, got {ns.n_cells}")
     try:
-        TimeConfig(t_end=ns.periods, cfl=ns.cfl)  # periods >= 0, cfl in (0, 1]
+        TimeConfig(t_end=ns.periods, cfl=ns.cfl)  # finite periods >= 0, cfl in (0, 1]
         if "scheme" in ns:
             ns.scheme_config = SchemeConfig(ns.scheme, ns.beta, ns.delta, ns.s_cutoff)
     except ValueError as exc:

@@ -61,8 +61,8 @@ class ThincParams:
     eps: ClassVar[float] = 1e-20
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and positive")
 
     @cached_property
     def cosh_beta(self) -> float:

@@ -46,7 +46,7 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
-        if self.s_cutoff <= 0.0:
+        if not self.s_cutoff > 0.0:
             raise ValueError("s_cutoff must be positive")
         # ThincParams checks beta; built once per config, not once per RK stage
         object.__setattr__(self, "thinc_params", ThincParams(beta=self.beta))
@@ -61,12 +61,12 @@ class TimeConfig:
     dt: float | None = None
 
     def __post_init__(self) -> None:
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be >= 0")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and >= 0")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and positive")
 
 
 @dataclass

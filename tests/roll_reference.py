@@ -189,7 +189,7 @@ def bvd3_select(
     d_right = np.roll(candidates.weno_left, -1) - candidates.weno_right
     dq_left = averages - np.roll(averages, 1)
     dq_right = averages - np.roll(averages, -1)
-    tbv_weno = (d_left**4 + d_right**4) / (dq_left**4 + dq_right**4 + eps3)
+    tbv_weno = ((d_left**2)**2 + (d_right**2)**2) / ((dq_left**2)**2 + (dq_right**2)**2 + eps3)
     smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, eps3)
 
     e_left = candidates.thinc_left - candidates.weno_left
@@ -275,5 +275,5 @@ def bvd3_smoothness(
     d_right = np.roll(candidates.weno_left, -1) - candidates.weno_right
     dq_left = averages - np.roll(averages, 1)
     dq_right = averages - np.roll(averages, -1)
-    tbv_weno = (d_left**4 + d_right**4) / (dq_left**4 + dq_right**4 + eps3)
+    tbv_weno = ((d_left**2)**2 + (d_right**2)**2) / ((dq_left**2)**2 + (dq_right**2)**2 + eps3)
     return (1.0 - tbv_weno) / np.maximum(tbv_weno, eps3)

@@ -178,6 +178,21 @@ class TestBvd3:
         # with an absurdly low cutoff every cell counts as smooth
         assert np.all(sel.omega == 0.0)
 
+    @pytest.mark.parametrize("s_cutoff", [0.0, -1.0, np.nan])
+    def test_cutoff_not_above_zero_rejected(self, s_cutoff):
+        values = smeared_step()
+        with pytest.raises(ValueError):
+            bvd3_select(build_candidates(values, PARAMS, DELTA), values, s_cutoff=s_cutoff)
+
+    def test_infinite_cutoff_blends_every_admissible_cell(self):
+        rng = np.random.RandomState(5)
+        for _ in range(20):
+            values = rng.uniform(-1.0, 1.0, 8)
+            cs = build_candidates(values, PARAMS, DELTA)
+            sel = bvd3_select(cs, values, s_cutoff=np.inf)
+            expected = scan_bvd3_omegas(cs, values, s_cutoff=np.inf)
+            assert np.all(np.abs(sel.omega - expected) <= 1e-3)
+
 
 class TestBvd4:
     def test_constant_field_all_weno(self):

@@ -42,6 +42,11 @@ class TestParseArgs:
             ["run", "--n", "5"],
             ["run", "--delta", "0.7"],
             ["run", "--periods", "-1"],
+            ["run", "--periods", "nan"],
+            ["run", "--periods", "inf"],
+            ["run", "--beta", "nan"],
+            ["run", "--beta", "inf"],
+            ["run", "--s-cutoff", "nan"],
             ["reproduce", "--figure", "9"],
             ["reproduce"],
             ["badcommand"],

@@ -6,6 +6,11 @@ switched off (exp and power then take the AVX2 or baseline loops), and
 OpenBLAS forced to its Sandybridge kernels (the quadrature's matrix-vector
 product). Selection tags, transition widths and THINC counts must not move
 at all; L1 may move by rounding, within the benchmark gate's 1e-12 relative.
+
+On the path of one RK stage, THINC's exp is the only kernel left that numpy
+dispatches by CPU: bvd3's fourth powers are exact squarings, so its
+indicator S takes no dispatched kernel. The profiles' exp and sin, and the
+quadrature's product, act only on the initial projection.
 """
 
 import json

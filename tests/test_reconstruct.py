@@ -175,8 +175,9 @@ class TestThinc:
             assert cell == (left[i], right[i])
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            ThincParams(beta=0.0)
+        for beta in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ThincParams(beta=beta)
 
 
 class TestAdmissibility:

@@ -107,7 +107,15 @@ class TestConfigs:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(beta=0.0), dict(delta=0.0), dict(delta=0.5), dict(s_cutoff=-1.0)],
+        [
+            dict(beta=0.0),
+            dict(beta=np.nan),
+            dict(beta=np.inf),
+            dict(delta=0.0),
+            dict(delta=0.5),
+            dict(s_cutoff=-1.0),
+            dict(s_cutoff=np.nan),
+        ],
     )
     def test_bad_scheme_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -115,7 +123,16 @@ class TestConfigs:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(cfl=0.0), dict(cfl=1.5), dict(t_end=-1.0), dict(dt=0.0)],
+        [
+            dict(cfl=0.0),
+            dict(cfl=1.5),
+            dict(t_end=-1.0),
+            dict(t_end=np.nan),
+            dict(t_end=np.inf),
+            dict(dt=0.0),
+            dict(dt=np.nan),
+            dict(dt=np.inf),
+        ],
     )
     def test_bad_time_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -220,6 +237,16 @@ class TestAdvect:
             SchemeConfig("bvd4", beta=1.8),
         )
         assert result.mass_drift < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=random_fields(), beta=st.sampled_from([1.8, 4.0]))
+    def test_mass_drift_on_random_fields(self, values, beta):
+        field = make_field(values)
+        time = TimeConfig(t_end=5 * 0.2 * field.grid.dx, cfl=0.2)  # five steps at CFL 0.2
+        for scheme in ALL_SCHEMES:
+            result = advect(field, FluxSpec(1.0), time, SchemeConfig(scheme, beta=beta))
+            assert result.n_steps == 5, scheme
+            assert result.mass_drift <= 1e-12, scheme
 
     @pytest.mark.parametrize("scheme", ["bvd1", "bvd2", "bvd3", "bvd4"])
     def test_square_wave_stays_within_bounds(self, scheme):

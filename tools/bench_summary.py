@@ -2,14 +2,16 @@
 
     python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
 
-Each directory is a checkout whose perfbench/out/ holds the --trace 0 result
-files of `perfbench/run.py`, one per workload and seed. A run of the parent
-and a run of the change on the same workload and seed form a pair. For each
-workload and end-to-end metric of BENCHMARK.json, the output records both
-medians and IQRs over the runs' reported values, and in how many pairs the
-change was better. The provenance adds what the result files leave out:
-numpy's kernel dispatch for exp and power, and the OpenBLAS core. Nothing
-in bvd1d imports this script.
+Each directory is a checkout whose perfbench/out/ holds the result files of
+`perfbench/run.py`, one per workload, seed and --trace level. A --trace 0 run
+of the parent and one of the change on the same workload and seed form a
+pair. For each workload and end-to-end metric of BENCHMARK.json, the output
+records both medians and IQRs over the runs' reported values, and in how many
+pairs the change was better. Under "per_layer" it records, for each per-layer
+metric, the parent's and the change's median over their --trace 1 runs of
+that workload. The provenance adds what the result files leave out: numpy's
+kernel dispatch for exp and power, and the OpenBLAS core. Nothing in bvd1d
+imports this script.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from numpy.lib import introspect
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def load_runs(checkout: Path) -> dict[str, dict[int, dict]]:
-    """{workload: {seed: result record}} of the checkout's --trace 0 runs."""
+def load_runs(checkout: Path, trace: int) -> dict[str, dict[int, dict]]:
+    """{workload: {seed: result record}} of the checkout's runs at this --trace level."""
     runs: dict[str, dict[int, dict]] = {}
-    for path in sorted((checkout / "perfbench" / "out").glob("result-*-trace0.json")):
+    for path in sorted((checkout / "perfbench" / "out").glob(f"result-*-trace{trace}.json")):
         record = json.loads(path.read_text(encoding="utf-8"))
         runs.setdefault(record["workload"], {})[record["provenance"]["seed"]] = record
     return runs
@@ -88,6 +90,22 @@ def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def layer_medians(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    """{workload: {metric: both sides' medians}} over each side's --trace 1 runs."""
+    out = {}
+    for workload in sorted(parent.keys() & change.keys()):
+        sides = {"parent": parent[workload].values(), "change": change[workload].values()}
+        entry = {"runs": {side: len(records) for side, records in sides.items()}}
+        for metric in metrics:
+            name = metric["name"]
+            entry[name] = {"unit": metric["unit"], "better": metric["better"]} | {
+                side: float(np.median([r["metrics"][name]["value"] for r in records]))
+                for side, records in sides.items()
+            }
+        out[workload] = entry
+    return out
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="parent checkout")
@@ -95,11 +113,14 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
-    parent, change = load_runs(args.parent), load_runs(args.change)
-    workloads = summarise(parent, change, metrics)
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    parent, change = load_runs(args.parent, 0), load_runs(args.change, 0)
+    workloads = summarise(parent, change, spec["end_to_end"])
     if not workloads:
-        raise SystemExit("no workload has result files in both checkouts")
+        raise SystemExit("no workload has --trace 0 result files in both checkouts")
+    layers = layer_medians(load_runs(args.parent, 1), load_runs(args.change, 1), spec["per_layer"])
+    for workload, entry in layers.items():
+        workloads.setdefault(workload, {})["per_layer"] = entry
     first = {side: next(iter(next(iter(runs.values())).values()))
              for side, runs in (("parent", parent), ("change", change))}
     provenance = {key: value for key, value in first["change"]["provenance"].items()
@@ -107,7 +128,7 @@ def main(argv: list[str] | None = None) -> None:
     provenance.update(numpy_dispatch=kernel_dispatch(), openblas_core=openblas_core())
     summary = {
         "seconds": first["change"]["seconds"],
-        "trace": 0,
+        "trace": {"end_to_end": 0, "per_layer": 1},
         "source_sha256": {side: r["provenance"]["source_sha256"] for side, r in first.items()},
         "provenance": provenance,
         "workloads": workloads,
