@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import periodic_pad
-from .reconstruct import ThincParams, thinc_admissible_field, thinc_field, weno_z_field
+from .reconstruct import (
+    ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
+)
 
 # Guard used by the smoothness indicator and the blend-weight denominator.
 BVD3_EPS = 1e-16
@@ -38,9 +40,9 @@ _COMBO_NBR = np.array([eta for _, eta in _FACE_COMBOS], dtype=bool)
 class CandidateSet:
     """Per-cell boundary pairs of both candidates plus the admissibility mask.
 
-    Cells where THINC is inadmissible carry the cell's WENO pair in the
-    thinc_* slots, so any selector formula that touches a neighbor's THINC
-    value automatically falls back to that neighbor's polynomial values.
+    build_candidates copies an inadmissible cell's WENO pair into its thinc_*
+    slots, so any selector formula that touches a neighbor's THINC value
+    falls back to that neighbor's polynomial values, bit for bit.
     For bvd1 and bvd2, where THINC enters only through a strict comparison,
     that fallback is all the admissibility needed. bvd4 reads the mask (THINC
     on the neighbours alone can win its cell group), and bvd3 evaluates its
@@ -79,17 +81,15 @@ class SelectionResult:
 def build_candidates(
     values: np.ndarray, params: ThincParams, delta: float
 ) -> CandidateSet:
-    """Evaluate both reconstructions and the admissibility test per cell."""
+    """Both reconstructions and the admissibility test per cell, from one jump position."""
     wl, wr = weno_z_field(values)
-    tl, tr = thinc_field(values, params)
-    adm = thinc_admissible_field(values, delta)
-    return CandidateSet(
-        weno_left=wl,
-        weno_right=wr,
-        thinc_left=np.where(adm, tl, wl),
-        thinc_right=np.where(adm, tr, wr),
-        admissible=adm,
-    )
+    jump = jump_position(values)
+    adm = thinc_admissible_field(jump, delta)
+    tl, tr = thinc_field(jump, params)
+    weno_only = ~adm
+    np.copyto(tl, wl, where=weno_only)
+    np.copyto(tr, wr, where=weno_only)
+    return CandidateSet(wl, wr, tl, tr, adm)
 
 
 def _prev(x: np.ndarray) -> np.ndarray:

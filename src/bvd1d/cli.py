@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import sys
-from argparse import ArgumentParser, Namespace
+from argparse import ArgumentParser, ArgumentTypeError, Namespace
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +36,19 @@ class _Parser(ArgumentParser):
         raise SystemExit(1)
 
 
+def _periods(text: str) -> float:
+    """A --periods value: a float in the range TimeConfig accepts for t_end."""
+    try:
+        return TimeConfig(t_end=float(text)).t_end
+    except ValueError as exc:
+        raise ArgumentTypeError(f"invalid value {text!r} ({exc})") from None
+
+
 def _subcommands() -> dict:
     """Each subcommand's handler and flag groups; its --config file may set those flags."""
     timing = _Parser(add_help=False)
     timing.add_argument("--cfl", type=float, default=TimeConfig.cfl, help="CFL number in (0, 1]")
-    timing.add_argument("--periods", type=float, default=1.0, help="periods to integrate")
+    timing.add_argument("--periods", type=_periods, default=1.0, help="periods to integrate")
     grid = _Parser(add_help=False)
     grid.add_argument("--n", type=int, default=200, dest="n_cells", help="number of cells")
     grid.add_argument("--out", type=Path, dest="out_dir",
@@ -109,7 +117,7 @@ def parse_args(argv: list[str]) -> Namespace:
     if "n_cells" in ns and ns.n_cells < 10:
         parser.error(f"need at least 10 cells, got {ns.n_cells}")
     try:
-        TimeConfig(t_end=ns.periods, cfl=ns.cfl)  # finite periods >= 0, cfl in (0, 1]
+        TimeConfig(t_end=ns.periods, cfl=ns.cfl)  # cfl in (0, 1]; _periods checked the rest
         if "scheme" in ns:
             ns.scheme_config = SchemeConfig(ns.scheme, ns.beta, ns.delta, ns.s_cutoff)
     except ValueError as exc:

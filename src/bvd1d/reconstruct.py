@@ -6,10 +6,10 @@ and at its right face x_{i+1/2}.
 
 Periodic neighbours come from the ghost-cell layout (LeVeque, Finite Volume
 Methods for Hyperbolic Problems, 2002, ch. 7): field.periodic_pad copies the
-wrap-around cells once per kernel call, one ghost cell per side for THINC
-and the admissibility test and two for the 5-point WENO-Z stencil, and every
-neighbour operand is a slice view of that one array. THINC and its
-admissibility test share one definition of the jump position, _jump_position.
+wrap-around cells once per call, two ghost cells per side for the 5-point
+WENO-Z stencil and one for jump_position, and every neighbour operand is a
+slice view of that one array. THINC and its admissibility test read one jump
+position: one evaluation per stage, in bvd.build_candidates.
 
 WENO-Z's left face is its right-face formula read on the reversed stencil
 (the mirror symmetry of the upwind-biased stencil; Jiang & Shu, JCP 126,
@@ -160,8 +160,8 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v0[left] / b0[left], v0[:n] / b0[:n]
 
 
-def _jump_position(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Neighbour views qm, qp, their min and span, and C = (q - qmin + eps) / (span + eps)."""
+def jump_position(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """values, neighbour views qm, qp, their min and span, C = (q - qmin + eps) / (span + eps)."""
     g = periodic_pad(values, 1)
     qm, qp = g[:-2], g[2:]
     qmin = np.minimum(qm, qp)
@@ -170,20 +170,20 @@ def _jump_position(values: np.ndarray) -> tuple[np.ndarray, ...]:
     position = values - qmin
     position += ThincParams.eps
     position /= span + ThincParams.eps
-    return qm, qp, qmin, span, position
+    return values, qm, qp, qmin, span, position
 
 
-def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell THINC boundary pairs over a periodic field.
+def thinc_field(jump: tuple[np.ndarray, ...], params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell THINC boundary pairs from a periodic field's jump_position tuple.
 
     The in-cell profile is a tanh ramp between the neighbor averages whose
     jump-center position is fixed by cell-average consistency; the boundary
     values below are its exact face evaluations, no root solve needed.
     """
-    qm, qp, qmin, span, ratio = _jump_position(values)
+    _, qm, qp, qmin, span, position = jump
     theta = qp - qm
     np.sign(theta, out=theta)
-    ratio *= 2.0
+    ratio = 2.0 * position
     ratio -= 1.0
     arg = theta * params.beta
     arg *= ratio
@@ -199,8 +199,7 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     denom = a * tb
     denom += 1.0
     denom = np.where(denom > 0.0, denom, scaled)
-    half_jump = span
-    half_jump *= 0.5
+    half_jump = 0.5 * span
     left = theta * a
     left += 1.0
     left *= half_jump
@@ -215,15 +214,15 @@ def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np
     return left, right
 
 
-def thinc_admissible_field(values: np.ndarray, delta: float) -> np.ndarray:
-    """Per-cell mask of where the sigmoid fit is usable: the normalized cell
-    position C lies in (delta, 1 - delta) and the data are strictly monotone."""
+def thinc_admissible_field(jump: tuple[np.ndarray, ...], delta: float) -> np.ndarray:
+    """Per-cell mask, from jump_position, of where the sigmoid fit is usable:
+    the cell position C lies in (delta, 1 - delta) and the data are strictly monotone."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    qm, qp, _, _, ratio = _jump_position(values)
+    values, qm, qp, _, _, position = jump
     rise = qp - values
     rise *= values - qm
-    admissible = ratio > delta
-    admissible &= ratio < 1.0 - delta
+    admissible = position > delta
+    admissible &= position < 1.0 - delta
     admissible &= rise > 0.0
     return admissible

@@ -75,10 +75,11 @@ def select(selectors, name: str, candidates: CandidateSet, values: np.ndarray):
 def test_kernels_match(label, values):
     for new, old in zip(reconstruct.weno_z_field(values), ref.weno_z_field(values)):
         assert np.array_equal(new, old)
-    for new, old in zip(reconstruct.thinc_field(values, PARAMS), ref.thinc_field(values, PARAMS)):
+    jump = reconstruct.jump_position(values)
+    for new, old in zip(reconstruct.thinc_field(jump, PARAMS), ref.thinc_field(values, PARAMS)):
         assert np.array_equal(new, old)
     assert np.array_equal(
-        reconstruct.thinc_admissible_field(values, DELTA),
+        reconstruct.thinc_admissible_field(jump, DELTA),
         ref.thinc_admissible_field(values, DELTA),
     )
     new, old = bvd.build_candidates(values, PARAMS, DELTA), ref.build_candidates(values, PARAMS, DELTA)
@@ -196,11 +197,12 @@ def test_kernels_match_at_extreme_magnitudes(n):
     non_finite = 0
     with np.errstate(all="ignore"):
         for values in extreme_fields(n):
+            jump = reconstruct.jump_position(values)
             pairs = [
                 *zip(reconstruct.weno_z_field(values), ref.weno_z_field(values)),
-                *zip(reconstruct.thinc_field(values, PARAMS), ref.thinc_field(values, PARAMS)),
+                *zip(reconstruct.thinc_field(jump, PARAMS), ref.thinc_field(values, PARAMS)),
                 (
-                    reconstruct.thinc_admissible_field(values, DELTA),
+                    reconstruct.thinc_admissible_field(jump, DELTA),
                     ref.thinc_admissible_field(values, DELTA),
                 ),
             ]

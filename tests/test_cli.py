@@ -63,6 +63,13 @@ class TestParseArgs:
             cli.parse_args(argv)
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize("periods", ["nan", "-1"])
+    def test_bad_periods_message_names_the_flag(self, periods, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.parse_args(["run", "--periods", periods])
+        assert excinfo.value.code == 1
+        assert "argument --periods" in capsys.readouterr().err
+
     def test_unknown_scheme_lists_valid_names(self, capsys):
         with pytest.raises(SystemExit):
             cli.parse_args(["run", "--scheme", "muscl"])

@@ -31,11 +31,13 @@ def fields() -> list[tuple[str, np.ndarray]]:
 
 
 def arrays_of(args) -> list[np.ndarray]:
-    """Every array among the arguments, CandidateSet fields included."""
+    """Every array among the arguments, CandidateSet fields and tuple entries included."""
     out = []
     for arg in args:
         if isinstance(arg, CandidateSet):
             out += [getattr(arg, f.name) for f in dataclasses.fields(arg)]
+        elif isinstance(arg, tuple):
+            out += arrays_of(arg)
         elif isinstance(arg, np.ndarray):
             out.append(arg)
     return out
@@ -56,8 +58,9 @@ def test_kernels_and_selectors_leave_inputs_unchanged(label, values):
     candidates = bvd.build_candidates(values, PARAMS, DELTA)
     omega = np.linspace(0.0, 1.0, values.size)
     assert_leaves_inputs_unchanged(reconstruct.weno_z_field, values)
-    assert_leaves_inputs_unchanged(reconstruct.thinc_field, values, PARAMS)
-    assert_leaves_inputs_unchanged(reconstruct.thinc_admissible_field, values, DELTA)
+    jump = reconstruct.jump_position(values)
+    assert_leaves_inputs_unchanged(reconstruct.thinc_field, jump, PARAMS)
+    assert_leaves_inputs_unchanged(reconstruct.thinc_admissible_field, jump, DELTA)
     assert_leaves_inputs_unchanged(bvd.build_candidates, values, PARAMS, DELTA)
     for name in ("bvd1", "bvd2", "bvd4"):
         assert_leaves_inputs_unchanged(bvd.SELECTORS[name], candidates)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bvd1d.field import Grid1D
-from bvd1d.reconstruct import ThincParams, thinc_admissible_field, thinc_field, weno_z_field
+from bvd1d.reconstruct import (
+    ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
+)
 
 from oracles import (
     implied_jump_center,
@@ -22,13 +24,13 @@ def weno_z_cell(window):
 
 def thinc_cell(qm, qc, qp, params):
     """THINC (left, right) faces of cell 1 of the periodic window (qm, qc, qp)."""
-    left, right = thinc_field(np.array([qm, qc, qp], dtype=float), params)
+    left, right = thinc_field(jump_position(np.array([qm, qc, qp], dtype=float)), params)
     return left[1], right[1]
 
 
 def admissible_cell(qm, qc, qp, delta):
     """Admissibility of cell 1 of the periodic window (qm, qc, qp)."""
-    return thinc_admissible_field(np.array([qm, qc, qp], dtype=float), delta)[1]
+    return thinc_admissible_field(jump_position(np.array([qm, qc, qp], dtype=float)), delta)[1]
 
 
 class TestWenoZ:
@@ -128,6 +130,13 @@ class TestThinc:
             left, right = thinc_cell(*triplet, params)
             assert np.isfinite(left) and np.isfinite(right)
 
+    def test_saturated_faces_stay_finite_where_the_sum_rounds_to_zero(self):
+        # At beta >= 15, 1 + a*tanh(beta) rounds to exactly 0 on saturated
+        # cells; the denom > 0 guard restores `scaled` there.
+        values = np.array([0.0, 1e-9, 1.0, 1.0, 0.0] * 4)
+        left, right = thinc_field(jump_position(values), ThincParams(beta=20.0))
+        assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+
     def test_admissible_faces_bounded_by_neighbors(self):
         rng = np.random.RandomState(2)
         params = ThincParams(beta=1.8)
@@ -169,7 +178,7 @@ class TestThinc:
         rng = np.random.RandomState(5)
         values = rng.uniform(-1.0, 1.0, 9)
         params = ThincParams(beta=1.8)
-        left, right = thinc_field(values, params)
+        left, right = thinc_field(jump_position(values), params)
         for i in range(9):
             cell = thinc_cell(values[i - 1], values[i], values[(i + 1) % 9], params)
             assert cell == (left[i], right[i])
@@ -197,7 +206,7 @@ class TestAdmissibility:
     def test_field_mask_matches_scalar(self):
         rng = np.random.RandomState(6)
         values = rng.uniform(-1.0, 1.0, 11)
-        mask = thinc_admissible_field(values, delta=1e-4)
+        mask = thinc_admissible_field(jump_position(values), delta=1e-4)
         for i in range(11):
             expected = admissible_cell(
                 values[i - 1], values[i], values[(i + 1) % 11], delta=1e-4
@@ -208,4 +217,4 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             admissible_cell(0.0, 0.5, 1.0, delta=0.5)
         with pytest.raises(ValueError):
-            thinc_admissible_field(np.zeros(4), delta=0.0)
+            thinc_admissible_field(jump_position(np.zeros(4)), delta=0.0)

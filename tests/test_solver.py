@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvd1d import bvd, reconstruct
 from bvd1d.bvd import build_candidates
 from bvd1d.experiments import PROFILES, l1_error
-from bvd1d.field import CellField, Grid1D, project_initial
+from bvd1d.field import CellField, Grid1D, periodic_pad, project_initial
 from bvd1d.solver import (
     BlowupError,
     FluxSpec,
@@ -17,7 +18,7 @@ from bvd1d.solver import (
     riemann_flux,
     select,
 )
-from bvd1d.reconstruct import ThincParams, thinc_admissible_field
+from bvd1d.reconstruct import ThincParams, jump_position, thinc_admissible_field, thinc_field
 
 from oracles import brute_force_bvd1_tags, brute_force_bvd2_tags, sine_cell_averages
 
@@ -89,7 +90,7 @@ class TestSelect:
     @settings(max_examples=300, deadline=None)
     @given(values=zigzag_fields())
     def test_no_admissible_cell_falls_back_to_wenoz_bitwise(self, values):
-        assert not thinc_admissible_field(values, 1e-4).any()
+        assert not thinc_admissible_field(jump_position(values), 1e-4).any()
         wenoz = select(values, SchemeConfig("wenoz"))
         assert not wenoz.omega.any()
         for scheme in ALL_SCHEMES[1:]:
@@ -98,6 +99,30 @@ class TestSelect:
                 assert not sel.omega.any()
                 assert np.array_equal(sel.face_left, wenoz.face_left)
                 assert np.array_equal(sel.face_right, wenoz.face_right)
+
+    def test_one_jump_position_per_bvd_stage(self, monkeypatch):
+        jumps, pads = [], []
+
+        def counted_jump(values):
+            jumps.append(values)
+            return jump_position(values)
+
+        def counted_pad(values, width):
+            pads.append(width)
+            return periodic_pad(values, width)
+
+        monkeypatch.setattr(bvd, "jump_position", counted_jump)
+        monkeypatch.setattr(reconstruct, "periodic_pad", counted_pad)
+        values = np.repeat([0.0, 1.0, 0.25, 0.75], 10) + np.linspace(0.0, 0.1, 40)
+        for scheme in ALL_SCHEMES[1:]:
+            jumps.clear()
+            _rhs_values(values, 0.05, SchemeConfig(scheme), FluxSpec())
+            assert len(jumps) == 1, scheme
+        jump = jump_position(values)
+        pads.clear()
+        thinc_field(jump, ThincParams())
+        thinc_admissible_field(jump, SchemeConfig.delta)
+        assert pads == []
 
 
 class TestConfigs:
@@ -283,6 +308,20 @@ class TestAdvect:
         )
         expected_steps = int(np.ceil(0.1037 / (0.2 * grid.dx)))
         assert result.n_steps == expected_steps
+
+    @pytest.mark.parametrize("excess, steps", [(1e-10, 11), (1e-13, 10)])
+    def test_step_count_forgives_only_round_off_past_a_whole_step(self, excess, steps):
+        dt = 0.01
+        time = TimeConfig(t_end=dt * (10 + excess), dt=dt)
+        result = advect(make_field(np.zeros(10)), FluxSpec(1.0), time, SchemeConfig())
+        assert result.n_steps == steps
+
+    def test_mass_drift_of_a_zero_mean_field_is_relative_to_its_l1_mass(self):
+        profile = PROFILES["sine"]
+        grid = Grid1D(50, profile.x_left, profile.x_right)
+        initial = project_initial(grid, profile.func)
+        result = advect(initial, FluxSpec(1.0), TimeConfig(t_end=0.05), SchemeConfig("bvd1"))
+        assert result.mass_drift <= 1e-12
 
     def test_thinc_counts_recorded_per_step(self):
         profile = PROFILES["square"]
