@@ -41,12 +41,11 @@ class CandidateSet:
     """Per-cell boundary pairs of both candidates plus the admissibility mask.
 
     build_candidates copies an inadmissible cell's WENO pair into its thinc_*
-    slots, so any selector formula that touches a neighbor's THINC value
-    falls back to that neighbor's polynomial values, bit for bit.
-    For bvd1 and bvd2, where THINC enters only through a strict comparison,
-    that fallback is all the admissibility needed. bvd4 reads the mask (THINC
-    on the neighbours alone can win its cell group), and bvd3 evaluates its
-    smoothness indicator on admissible cells only.
+    slots, so any selector formula that touches that cell's THINC values
+    gets its polynomial values, bit for bit. bvd4 alone reads the mask (THINC
+    on the neighbours alone can win its cell group); bvd1-bvd3 rely on the
+    fallback: in bvd1's and bvd2's strict comparisons it only ties, and bvd3
+    cannot blend a cell whose two candidates coincide.
     """
 
     weno_left: np.ndarray
@@ -207,22 +206,22 @@ def bvd3_select(
     THINC into WENO with the weight that minimizes the squared mismatch to
     the neighbors' WENO face values; the quadratic has the closed-form
     stationary point implemented below. The weight is clamped to [0, 1].
-    Only admissible cells can blend, so S is evaluated on those alone, from
-    exact squarings that do not depend on numpy's power dispatch.
+    S is evaluated on every cell, from exact squarings that do not depend on
+    numpy's power dispatch. No mask is needed: on an inadmissible cell, with
+    THINC's pair equal to WENO's, finite faces give a zero denominator and so
+    omega 0, and a non-finite face makes S NaN, which never passes s_cutoff.
     """
     if not s_cutoff > 0.0:
         raise ValueError("s_cutoff must be positive")
-    adm = candidates.admissible
     d_left = _prev(candidates.weno_right) - candidates.weno_left
     d_right = _next(candidates.weno_left) - candidates.weno_right
     padded = periodic_pad(averages, 1)
     jumps = np.stack((d_left, d_right, averages - padded[:-2], averages - padded[2:]))
-    fourth = np.square(jumps[:, adm])
-    d4_left, d4_right, dq4_left, dq4_right = np.square(fourth, out=fourth)
+    np.square(jumps, out=jumps)
+    d4_left, d4_right, dq4_left, dq4_right = np.square(jumps, out=jumps)
     tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)
     smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
-    blend = np.zeros_like(adm)
-    blend[adm] = smoothness < s_cutoff
+    blend = smoothness < s_cutoff
 
     e_left = candidates.thinc_left - candidates.weno_left
     e_right = candidates.thinc_right - candidates.weno_right

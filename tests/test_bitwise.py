@@ -222,3 +222,41 @@ def test_stage_rhs_matches_at_extreme_magnitudes(scheme, n):
             old = ref._rhs_values(values, 0.01, config, FluxSpec())
             assert np.array_equal(new[0], old[0], equal_nan=True)
             assert new[1:] == old[1:]
+
+
+def non_finite_fields(n: int, count: int = 8) -> list[np.ndarray]:
+    """Random data with about one cell in ten set to +-inf, NaN or +-1e308."""
+    rng = np.random.default_rng(2000 + n)
+    out = []
+    for _ in range(count):
+        values = rng.standard_normal(n)
+        seeded = rng.uniform(size=n) < 0.1
+        seeded[rng.integers(n)] = True
+        values[seeded] = rng.choice([np.inf, -np.inf, np.nan, 1e308, -1e308], seeded.sum())
+        out.append(values)
+    return out
+
+
+@pytest.mark.parametrize("s_cutoff", [1e6, np.inf])
+@pytest.mark.parametrize("n", [5, 64, 2000])
+def test_bvd3_needs_no_mask_off_finite_data(n, s_cutoff):
+    """bvd3 reads no admissibility mask; the reference gates its blend by one.
+
+    An inadmissible cell's THINC pair is its WENO pair, so its weight is 0
+    where those faces are finite, and its indicator S is NaN, which never
+    passes the cutoff, where they are not.
+    """
+    non_finite = 0
+    with np.errstate(all="ignore"):
+        for values in non_finite_fields(n):
+            candidates = bvd.build_candidates(values, PARAMS, DELTA)
+            new = bvd.bvd3_select(candidates, values, s_cutoff=s_cutoff)
+            old = ref.bvd3_select(candidates, values, s_cutoff=s_cutoff)
+            for name in ("omega", "face_left", "face_right"):
+                assert np.array_equal(getattr(new, name), getattr(old, name), equal_nan=True)
+            assert new.n_clamped == old.n_clamped
+            inadmissible = ~candidates.admissible
+            assert np.all(new.omega[inadmissible] == 0.0)
+            faces = np.isfinite(candidates.weno_left) & np.isfinite(candidates.weno_right)
+            non_finite += np.count_nonzero(inadmissible & ~faces)
+    assert non_finite > 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bvd1d.bvd import (
+    BVD3_EPS,
     CandidateSet,
     SELECTORS,
     assemble_interfaces,
@@ -192,6 +193,20 @@ class TestBvd3:
             sel = bvd3_select(cs, values, s_cutoff=np.inf)
             expected = scan_bvd3_omegas(cs, values, s_cutoff=np.inf)
             assert np.all(np.abs(sel.omega - expected) <= 1e-3)
+
+    def test_denominator_equal_to_the_guard_still_blends(self):
+        # Cell 0's squared THINC-WENO gaps sum to exactly BVD3_EPS, so only a
+        # strict `denom < BVD3_EPS` keeps its weight d_left * e_left / denom.
+        n = 4
+        cs = uniform_candidates(n, value=0.0)
+        cs.admissible[1:] = False
+        cs.weno_right[n - 1] = cs.thinc_right[n - 1] = 1e-9
+        cs.thinc_left[0] = 9.999999999999999e-09
+        cs.thinc_right[0] = 1.3599299649824915e-16
+        assert cs.thinc_left[0] ** 2 + cs.thinc_right[0] ** 2 == BVD3_EPS
+        sel = bvd3_select(cs, np.zeros(n), s_cutoff=np.inf)
+        assert sel.omega[0] == pytest.approx(0.1, rel=1e-15)
+        assert np.all(sel.omega[1:] == 0.0)
 
 
 class TestBvd4:

@@ -24,7 +24,7 @@ import pytest
 
 from bvd1d.experiments import FIGURE_SCHEMES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
 L1_REL_TOL = 1e-12  # the benchmark gate's bound (perfbench/workloads.py)
 
 BVD3_FIGURE = str(next(f for f, s in FIGURE_SCHEMES.items() if s.scheme == "bvd3"))
@@ -34,25 +34,14 @@ PATHS = {
     "OpenBLAS Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
 }
 
-# Prints one JSON object: the kernels this interpreter dispatches to, and
-# per figure the L1 error, widths, per-step THINC counts and final omega.
+# Prints one JSON object: the kernels this interpreter dispatches to (from
+# tools/bench_summary.py's probes), and per figure the L1 error, widths,
+# per-step THINC counts and final omega.
 CHILD = r"""
-import ctypes, glob, json, os
-import numpy as np
-from numpy.lib import introspect
+import json
+from bench_summary import kernel_dispatch, openblas_core
 from bvd1d.experiments import FIGURE_SCHEMES, PROFILES, run_benchmark, selection_weights
 
-def openblas_core():
-    for lib in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas*"):
-        try:
-            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
-        except AttributeError:
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return None
-
-dispatch = introspect.opt_func_info(func_name="^exp$|^power$", signature="^d+$")
 runs = {}
 for figure, scheme in FIGURE_SCHEMES.items():
     result = run_benchmark(scheme, PROFILES["complex_waves"], n_cells=200, periods=0.1)
@@ -63,7 +52,7 @@ for figure, scheme in FIGURE_SCHEMES.items():
         "omega": selection_weights(result.final.averages, scheme).tolist(),
     }
 print(json.dumps({
-    "kernels": {name: next(iter(sig.values()))["current"] for name, sig in dispatch.items()},
+    "kernels": kernel_dispatch(),
     "openblas": openblas_core(),
     "runs": runs,
 }))
@@ -75,7 +64,8 @@ def run_path(overrides: dict) -> dict:
     for switch in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE"):
         env.pop(switch, None)
     env.update(overrides)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    paths = [str(ROOT / "src"), str(ROOT / "tools"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
