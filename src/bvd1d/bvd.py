@@ -11,7 +11,9 @@ Face indexing convention: face j is x_{j+1/2}, sitting between cell j and
 cell (j+1) % n. All per-face arrays use this layout. A cell's neighbours
 across faces j-1 and j are read from the ghost-cell layout: field.periodic_pad
 adds one wrap-around cell on each side of a per-cell array, and the shifted
-operands are slice views of it (_prev, _next).
+operands are slice views of it (_prev, _next). bvd1, bvd2 and bvd4 read the
+BV from _face_jumps: each face's signed jump is evaluated once per candidate
+pair and read by both cells it separates.
 """
 
 from __future__ import annotations
@@ -101,11 +103,11 @@ def _next(x: np.ndarray) -> np.ndarray:
     return periodic_pad(x, 1)[2:]
 
 
-def _abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a - b| as one new array."""
-    out = a - b
-    np.abs(out, out=out)
-    return out
+def _face_jumps(candidates: CandidateSet) -> tuple[np.ndarray, ...]:
+    """New arrays own_right[xi] - next(own_left[eta]) per face j: WW, WT, TW, TT (_FACE_COMBOS)."""
+    wr, tr = candidates.weno_right, candidates.thinc_right
+    wl, tl = _next(candidates.weno_left), _next(candidates.thinc_left)
+    return wr - wl, wr - tl, tr - wl, tr - tl
 
 
 def assemble_interfaces(
@@ -144,17 +146,14 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
     nominations: agreement is honored, and a conflict falls back to WENO
     exactly when the two signed minimizing variations have opposite signs.
     """
-    own = (candidates.weno_right, candidates.thinc_right)
-    nbr = (_next(candidates.weno_left), _next(candidates.thinc_left))
-
     # First minimum in combo order: a later combination must be strictly
     # smaller. Where a cell's thinc_* slots hold its WENO pair, a combination
     # using them ties an earlier one bit for bit and so never wins.
-    signed_right = own[0] - nbr[0]
+    jumps = _face_jumps(candidates)
+    signed_right = jumps[0]
     magnitude = np.abs(signed_right)
     best = np.zeros(signed_right.shape, dtype=np.intp)
-    for k, (xi, eta) in enumerate(_FACE_COMBOS[1:], start=1):
-        signed_k = own[xi] - nbr[eta]
+    for k, signed_k in enumerate(jumps[1:], start=1):
         magnitude_k = np.abs(signed_k)
         take = magnitude_k < magnitude
         np.copyto(magnitude, magnitude_k, where=take)
@@ -176,23 +175,13 @@ def bvd2_select(candidates: CandidateSet) -> SelectionResult:
 
     For each own candidate, the total variation across the cell's two faces
     is minimized over the four neighbor-candidate combinations; THINC is
-    kept only where its minimum beats WENO's strictly.
+    kept only where its minimum beats WENO's strictly. Rounding is monotone,
+    so that minimum is the rounded sum of the least |jump| at face j-1, where
+    the cell is the neighbour (read through _prev), and the least at face j.
     """
-    to_left_face = (_prev(candidates.weno_right), _prev(candidates.thinc_right))
-    to_right_face = (_next(candidates.weno_left), _next(candidates.thinc_left))
-
-    def min_total(own_left: np.ndarray, own_right: np.ndarray) -> np.ndarray:
-        # Rounding is monotone, so the least rounded sum over the four
-        # combinations is the rounded sum of the two least terms.
-        at_left = _abs_diff(to_left_face[0], own_left)
-        np.minimum(at_left, _abs_diff(to_left_face[1], own_left), out=at_left)
-        at_right = _abs_diff(to_right_face[0], own_right)
-        np.minimum(at_right, _abs_diff(to_right_face[1], own_right), out=at_right)
-        at_left += at_right
-        return at_left
-
-    m_weno = min_total(candidates.weno_left, candidates.weno_right)
-    m_thinc = min_total(candidates.thinc_left, candidates.thinc_right)
+    ww, wt, tw, tt = (np.abs(jump, out=jump) for jump in _face_jumps(candidates))
+    m_weno = _prev(np.minimum(ww, tw)) + np.minimum(ww, wt)
+    m_thinc = _prev(np.minimum(wt, tt)) + np.minimum(tw, tt)
     return _discrete_result(m_thinc < m_weno, candidates)
 
 
@@ -213,6 +202,8 @@ def bvd3_select(
     """
     if not s_cutoff > 0.0:
         raise ValueError("s_cutoff must be positive")
+    # Not _face_jumps: bvd3 reads WENO's jumps only, and d_right is WW's jump
+    # with its operands swapped (-WW would make raw -0.0 where it is +0.0).
     d_left = _prev(candidates.weno_right) - candidates.weno_left
     d_right = _next(candidates.weno_left) - candidates.weno_right
     padded = periodic_pad(averages, 1)
@@ -242,12 +233,12 @@ def bvd4_select(candidates: CandidateSet) -> SelectionResult:
 
     Each cell's total variation is evaluated twice, once with WENO and once
     with THINC applied to the cell and both neighbors alike (inadmissible
-    neighbors contribute their WENO values); THINC wins only strictly.
+    neighbors contribute their WENO values); THINC wins only strictly. Each
+    total is |jump| at face j-1 plus at face j, from the WW or TT face jumps.
     """
-    tbv_weno = _abs_diff(_prev(candidates.weno_right), candidates.weno_left)
-    tbv_weno += _abs_diff(candidates.weno_right, _next(candidates.weno_left))
-    tbv_thinc = _abs_diff(_prev(candidates.thinc_right), candidates.thinc_left)
-    tbv_thinc += _abs_diff(candidates.thinc_right, _next(candidates.thinc_left))
+    ww, _, _, tt = _face_jumps(candidates)
+    tbv_weno = _prev(np.abs(ww, out=ww)) + ww
+    tbv_thinc = _prev(np.abs(tt, out=tt)) + tt
     use_thinc = (tbv_thinc < tbv_weno) & candidates.admissible
     return _discrete_result(use_thinc, candidates)
 

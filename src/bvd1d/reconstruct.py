@@ -61,8 +61,10 @@ class ThincParams:
     eps: ClassVar[float] = 1e-20
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.beta < np.inf:
-            raise ValueError("beta must be finite and positive")
+        # cosh(beta) overflows past beta = 710.4758..., and THINC's faces turn NaN.
+        with np.errstate(over="ignore"):
+            if not (self.beta > 0.0 and self.cosh_beta < np.inf):
+                raise ValueError("beta must be > 0 with cosh(beta) finite (beta <= 710.4758)")
 
     @cached_property
     def cosh_beta(self) -> float:

@@ -1,10 +1,12 @@
 """The ghost-cell kernels reproduce the np.roll kernels bit for bit.
 
-Every comparison is np.array_equal against tests/roll_reference.py. A
-last-bit change in one RK stage grows to about 1e-10 in the averages after
-a period, so tolerances would hide exactly the changes this file exists to
-catch: reusing the right face's WENO-Z indicators for the left face, writing
-bvd3's x**4 as products, or letting a later bvd1 face combination win a tie.
+Every comparison is against tests/roll_reference.py: selections and stage
+right-hand sides byte for byte (so a -0.0 for +0.0 fails), the rest with
+np.array_equal. A last-bit change in one RK stage grows to about 1e-10 in
+the averages after a period, so tolerances would hide exactly the changes
+this file exists to catch: reusing the right face's WENO-Z indicators for
+the left face, writing bvd3's x**4 as products, or letting a later bvd1 face
+combination win a tie.
 """
 
 import dataclasses
@@ -58,10 +60,15 @@ def all_fields() -> list[tuple[str, np.ndarray]]:
     return cases + list(tie_fields().items())
 
 
+def assert_same_bytes(new: np.ndarray, old: np.ndarray) -> None:
+    assert new.dtype == old.dtype
+    assert new.tobytes() == old.tobytes()
+
+
 def assert_same_selection(new, old) -> None:
-    assert np.array_equal(new.omega, old.omega)
-    assert np.array_equal(new.face_left, old.face_left)
-    assert np.array_equal(new.face_right, old.face_right)
+    assert_same_bytes(new.omega, old.omega)
+    assert_same_bytes(new.face_left, old.face_left)
+    assert_same_bytes(new.face_right, old.face_right)
     assert new.n_clamped == old.n_clamped
 
 
@@ -137,7 +144,7 @@ def test_stage_rhs_matches(scheme, label, values):
     flux = FluxSpec()
     new = solver._rhs_values(values, 0.01, config, flux)
     old = ref._rhs_values(values, 0.01, config, flux)
-    assert np.array_equal(new[0], old[0])
+    assert_same_bytes(new[0], old[0])
     assert new[1:] == old[1:]
 
 
@@ -150,7 +157,7 @@ def test_stencil_wider_than_grid(n):
         for scheme in SCHEMES:
             new = solver._rhs_values(values, 0.01, SchemeConfig(scheme), FluxSpec())
             old = ref._rhs_values(values, 0.01, SchemeConfig(scheme), FluxSpec())
-            assert np.array_equal(new[0], old[0])
+            assert_same_bytes(new[0], old[0])
 
 
 @pytest.mark.parametrize("n_cells, steps", [(200, 50), (2000, 10)])

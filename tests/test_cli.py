@@ -165,6 +165,15 @@ class TestMain:
     def test_usage_error_returns_one(self, tmp_path):
         assert cli.main(["run", "--cfl", "1.5", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("scheme", ["bvd1", "bvd2", "bvd3", "bvd4"])
+    def test_beta_whose_cosh_overflows_returns_one(self, scheme, tmp_path, capsys):
+        # Past beta = 710.4758... THINC's faces would be NaN: bvd1 and bvd3
+        # would abort (exit 2), bvd2 and bvd4 quietly run as plain WENO-Z.
+        argv = ["run", "--scheme", scheme, "--beta", "711", "--n", "60", "--periods", "0.05"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        assert "710.4758" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_numerical_abort_returns_two(self, monkeypatch, tmp_path, capsys):
         def boom(*args, **kwargs):
             raise BlowupError("synthetic blowup")

@@ -188,6 +188,13 @@ class TestThinc:
             with pytest.raises(ValueError):
                 ThincParams(beta=beta)
 
+    def test_beta_needs_a_finite_cosh(self):
+        # cosh overflows between 710 and 711; beyond, THINC's faces are NaN.
+        assert np.isfinite(ThincParams(beta=710.0).cosh_beta)
+        for beta in (711.0, 1e10):
+            with pytest.raises(ValueError, match="cosh"):
+                ThincParams(beta=beta)
+
 
 class TestAdmissibility:
     def test_centered_monotone_triplet_admissible(self):

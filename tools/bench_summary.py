@@ -9,7 +9,10 @@ pair. For each workload and end-to-end metric of BENCHMARK.json, the output
 records both medians and IQRs over the runs' reported values, and in how many
 pairs the change was better. Under "per_layer" it records, for each per-layer
 metric, the parent's and the change's median over their --trace 1 runs of
-that workload. The provenance adds what the result files leave out: numpy's
+that workload. Under "calls_per_stage" it records each checkout's numpy
+calls and slicings per RK stage, per scheme and per N of
+tools/count_calls.py, which runs in a subprocess on the checkout's src/.
+The provenance adds what the result files leave out: numpy's
 kernel dispatch for exp and power, and the OpenBLAS core. Nothing in bvd1d
 imports this script.
 """
@@ -21,12 +24,20 @@ import ctypes
 import glob
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 from numpy.lib import introspect
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+COUNT_CALLS_CHILD = """
+import json, count_calls
+from bvd1d import solver
+print(json.dumps({scheme: {n: count_calls.stage_counts(scheme, n)[0] for n in count_calls.SIZES}
+                  for scheme in solver.SCHEMES}))
+"""
 
 
 def load_runs(checkout: Path, trace: int) -> dict[str, dict[int, dict]]:
@@ -41,6 +52,15 @@ def load_runs(checkout: Path, trace: int) -> dict[str, dict[int, dict]]:
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = (float(q) for q in np.percentile(values, [25, 50, 75]))
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def stage_call_counts(checkout: Path) -> dict[str, dict[str, list[int]]]:
+    """{scheme: {N: [numpy calls, slicings]}} of one RK stage of the checkout's bvd1d."""
+    paths = [str(checkout.resolve() / "src"), str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", COUNT_CALLS_CHILD], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
 
 
 def openblas_core() -> str | None:
@@ -131,6 +151,8 @@ def main(argv: list[str] | None = None) -> None:
         "trace": {"end_to_end": 0, "per_layer": 1},
         "source_sha256": {side: r["provenance"]["source_sha256"] for side, r in first.items()},
         "provenance": provenance,
+        "calls_per_stage": {"parent": stage_call_counts(args.parent),
+                            "change": stage_call_counts(args.change)},
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")

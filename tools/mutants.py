@@ -2,19 +2,19 @@
 
 Usage (from the repository root):
 
-    python tools/mutants.py      # about 5 min on a 2-core Xeon
+    python tools/mutants.py      # about 7 min on a 2-core Xeon
 
-Each mutant is one (file, old, new) edit: a comparison boundary, a constant
-or a dropped term. The script copies the files the suite reads (src/, tests/,
-tools/, perfbench/ without its out/, README.md and pyproject.toml) into a
-temporary directory, runs tier-1 there once unmutated, and then once per
-mutant with that single edit applied, with `-x`, the two known reds
-deselected and tests/test_mutants.py left out. A mutant is killed when the
-run fails and survived when it passes. Each survivor should get a test that
-kills it or a written argument that it is equivalent. tests/test_mutants.py
-checks that every `old` still occurs exactly once in its file, so the list
-fails loudly when the code moves. Nothing in bvd1d imports this script, and
-tier-1 does not run it.
+Each mutant is one (file, old, new) edit: a comparison boundary, a constant,
+a wrong operand or a dropped term. The script copies the files the suite
+reads (src/, tests/, tools/, perfbench/ without its out/, README.md and
+pyproject.toml) into a temporary directory, runs tier-1 there once
+unmutated, and then once per mutant with that single edit applied, with
+`-x`, the two known reds deselected and tests/test_mutants.py left out. A
+mutant is killed when the run fails and survived when it passes. Each
+survivor should get a test that kills it or a written argument that it is
+equivalent. tests/test_mutants.py checks that every `old` still occurs
+exactly once in its file, so the list fails loudly when the code moves.
+Nothing in bvd1d imports this script, and tier-1 does not run it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,14 @@ MUTANTS = (
     (BVD, "/ np.maximum(tbv_weno, BVD3_EPS)", "/ (tbv_weno + BVD3_EPS)"),
     (BVD, "blend & ((raw < 0.0) | (raw > 1.0))", "blend & (raw < 0.0)"),
     (BVD, "degenerate = denom < BVD3_EPS", "degenerate = denom <= BVD3_EPS"),
+    (BVD, "m_weno = _prev(np.minimum(ww, tw))", "m_weno = _prev(np.minimum(ww, wt))"),
+    (BVD, "tbv_weno = _prev(np.abs(ww, out=ww)) + ww", "tbv_weno = np.abs(ww, out=ww)"),
+    (BVD, "wl, tl = _next(candidates.weno_left),", "wl, tl = candidates.weno_left,"),
     (RECONSTRUCT, "_THINC_EXP_CAP = 25.0", "_THINC_EXP_CAP = 20.0"),
     (RECONSTRUCT, "np.where(denom > 0.0, denom, scaled)", "np.where(denom >= 0.0, denom, scaled)"),
     (RECONSTRUCT, "admissible &= rise > 0.0", "admissible &= rise >= 0.0"),
+    (RECONSTRUCT, "    b1 += curv[1 : 1 + m]\n", ""),
+    (RECONSTRUCT, "    right += tb\n", ""),
     (EXPERIMENTS, "np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))",
      "np.where(values < 0.1, -1, np.where(values > 0.9, 1, 0))"),
     (SOLVER, "time.t_end / dt - 1e-12", "time.t_end / dt - 1e-9"),
