@@ -11,9 +11,10 @@ Face indexing convention: face j is x_{j+1/2}, sitting between cell j and
 cell (j+1) % n. All per-face arrays use this layout. A cell's neighbours
 across faces j-1 and j are read from the ghost-cell layout: field.periodic_pad
 adds one wrap-around cell on each side of a per-cell array, and the shifted
-operands are slice views of it (_prev, _next). bvd1, bvd2 and bvd4 read the
-BV from _face_jumps: each face's signed jump is evaluated once per candidate
-pair and read by both cells it separates.
+operands are slice views of it (_prev, _next). bvd1 and bvd2 read the BV
+from _face_jumps, and bvd4 evaluates its WW and TT jumps the same way: each
+face's signed jump is evaluated once per candidate pair and read by both
+cells it separates.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ def bvd4_select(candidates: CandidateSet) -> SelectionResult:
     neighbors contribute their WENO values); THINC wins only strictly. Each
     total is |jump| at face j-1 plus at face j, from the WW or TT face jumps.
     """
-    ww, _, _, tt = _face_jumps(candidates)
+    ww = candidates.weno_right - _next(candidates.weno_left)
+    tt = candidates.thinc_right - _next(candidates.thinc_left)
     tbv_weno = _prev(np.abs(ww, out=ww)) + ww
     tbv_thinc = _prev(np.abs(tt, out=tt)) + tt
     use_thinc = (tbv_thinc < tbv_weno) & candidates.admissible

@@ -98,8 +98,14 @@ PROFILES = {
 
 
 def exact_advected(profile: Profile, grid: Grid1D, speed: float, t: float) -> CellField:
-    """Cell averages of the exact solution: the initial profile shifted by speed*t."""
-    return project_initial(grid, lambda x: profile.func(profile.wrap(x - speed * t)))
+    """Cell averages of the exact solution: the initial profile shifted by speed*t.
+
+    A shift by whole domain lengths is the initial projection itself.
+    """
+    shift = speed * t
+    if shift % (profile.x_right - profile.x_left) == 0.0:
+        return project_initial(grid, profile.func)
+    return project_initial(grid, lambda x: profile.func(profile.wrap(x - shift)))
 
 
 def _check_congruent(a: CellField, b: CellField) -> None:
@@ -157,11 +163,8 @@ def run_benchmark(
     initial = project_initial(grid, profile.func)
     t_end = periods * profile.period(1.0)
     result = advect(initial, FluxSpec(), TimeConfig(t_end=t_end, cfl=cfl), scheme)
-
-    if periods == int(periods):
-        exact = CellField(grid, initial.averages.copy())
-    else:
-        exact = exact_advected(profile, grid, 1.0, t_end)
+    # whole periods: exact_advected would return this same projection
+    exact = initial if periods == int(periods) else exact_advected(profile, grid, 1.0, t_end)
     return dataclasses.replace(
         result,
         exact=exact,
@@ -203,6 +206,8 @@ def write_run_csv(path: Path | str, grid: Grid1D, result: RunResult, omega: np.n
     path = Path(path)
     if result.exact is None:
         raise ValueError("result carries no exact reference field")
+    if grid != result.final.grid or len(omega) != grid.n_cells:
+        raise ValueError("grid and omega must match the result's final field")
     tags = _tag_strings(omega)
     lines = ["x_center,q_avg,q_exact,tag"]
     for x, q, e, tag in zip(

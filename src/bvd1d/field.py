@@ -20,8 +20,8 @@ class Grid1D:
     x_right: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be positive, got {self.n_cells}")
+        if not (isinstance(self.n_cells, (int, np.integer)) and self.n_cells >= 1):
+            raise ValueError(f"n_cells must be a positive integer, got {self.n_cells!r}")
         if not (np.isfinite(self.x_left) and np.isfinite(self.x_right)):
             raise ValueError("grid bounds must be finite")
         if self.x_right <= self.x_left:

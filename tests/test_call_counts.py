@@ -24,7 +24,7 @@ STAGE_COUNTS = {
     "bvd1": (147, 47),
     "bvd2": (139, 50),
     "bvd3": (163, 53),
-    "bvd4": (134, 50),
+    "bvd4": (132, 50),
 }
 
 

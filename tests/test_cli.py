@@ -192,6 +192,12 @@ class TestMain:
         orders = [float(line.split()[-1]) for line in lines[2:]]
         assert all(o > 4.0 for o in orders)
 
+    def test_convergence_over_zero_periods_scores_zero_with_no_orders(self, capsys):
+        assert cli.main(["convergence", "--periods", "0"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(n) for n, _ in rows] == list(cli._CONVERGENCE_LADDER)
+        assert all(float(l1) == 0.0 for _, l1 in rows)
+
     def test_convergence_smoke_on_other_profile(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CONVERGENCE_LADDER", (25, 50))
         code = cli.main(["convergence", "--profile", "gaussian", "--periods", "0.05"])

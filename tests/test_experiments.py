@@ -128,6 +128,14 @@ class TestExactAdvected:
         shifted = exact_advected(profile, grid, speed=1.0, t=profile.period(1.0))
         assert np.allclose(shifted.averages, initial.averages, atol=1e-12)
 
+    @pytest.mark.parametrize("speed, t", [(1.0, 0.0), (1.0, 2.0), (-1.0, 6.0), (0.5, 4.0)])
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_whole_domain_shifts_are_the_initial_projection(self, name, speed, t):
+        profile = PROFILES[name]
+        grid = Grid1D(200, profile.x_left, profile.x_right)
+        shifted = exact_advected(profile, grid, speed, t)
+        assert shifted.averages.tobytes() == project_initial(grid, profile.func).averages.tobytes()
+
     def test_half_period_swaps_halves_of_square(self):
         profile = PROFILES["square"]
         grid = Grid1D(40, profile.x_left, profile.x_right)
@@ -212,6 +220,13 @@ class TestFigureOutputs:
         result.exact = None
         with pytest.raises(ValueError, match="reference"):
             write_run_csv(tmp_path / "run.csv", result.final.grid, result, np.zeros(40))
+
+    @pytest.mark.parametrize("grid, n_omega", [(Grid1D(12), 5), (Grid1D(40), 12)])
+    def test_write_run_csv_rejects_a_grid_or_omega_of_another_size(self, tmp_path, grid, n_omega):
+        result = run_benchmark(SchemeConfig("wenoz"), PROFILES["square"], n_cells=12, periods=0.0)
+        with pytest.raises(ValueError, match="match"):
+            write_run_csv(tmp_path / "run.csv", grid, result, np.zeros(n_omega))
+        assert not (tmp_path / "run.csv").exists()
 
     def test_gnuplot_script_emission(self, tmp_path):
         script = write_gnuplot_script(tmp_path / "run.gp", tmp_path / "run.csv", "demo")

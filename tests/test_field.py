@@ -25,7 +25,7 @@ class TestGrid1D:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(n_cells=0), dict(n_cells=4, x_left=1.0, x_right=0.0),
-         dict(n_cells=4, x_left=np.nan, x_right=1.0)],
+         dict(n_cells=4, x_left=np.nan, x_right=1.0), dict(n_cells=2.5), dict(n_cells=np.nan)],
     )
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,18 +1,28 @@
-"""The README's tables match the code.
+"""The README's tables and library examples match the code.
 
-"Results at a glance" against the benchmark runs it quotes, and every
-numeric row of "Defaults and constants" against the default or constant it
-names.
+"Results at a glance" against the benchmark runs it quotes, every numeric
+row of "Defaults and constants" against the default or constant it names,
+and "Library use" as a spec of the package root: its code blocks run as
+written, and bvd1d.__all__ holds exactly the names the README reaches as
+bvd1d.<name>.
 """
 
+import pkgutil
 import re
 from pathlib import Path
 
+import bvd1d
 from bvd1d.bvd import BVD3_EPS
 from bvd1d.reconstruct import WENO_Z_EPS, ThincParams
 from bvd1d.solver import SchemeConfig, TimeConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def section(title: str) -> str:
+    """The README's text under "## title", up to the next level-2 heading."""
+    return README.read_text(encoding="utf-8").split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
 
 # | `bvd4` β=4 | 1 | 2.19e-02 | ...: scheme, optional beta, leading width, L1 text
 ROW = re.compile(r"^\| `(\w+)`(?: β=(\d+))?\s*\| (\d+)[^|]*\| (\S+)\s*\|", re.MULTILINE)
@@ -20,11 +30,9 @@ ROW = re.compile(r"^\| `(\w+)`(?: β=(\d+))?\s*\| (\d+)[^|]*\| (\S+)\s*\|", re.M
 
 def glance_rows() -> dict[str, tuple[int, str]]:
     """Per complex_wave_runs key, the table's square-pulse width and L1 text."""
-    text = README.read_text(encoding="utf-8")
-    table = text.split("## Results at a glance", 1)[1].split("\n## ", 1)[0]
     return {
         scheme + (f"-beta{beta}" if beta else ""): (int(width), l1)
-        for scheme, beta, width, l1 in ROW.findall(table)
+        for scheme, beta, width, l1 in ROW.findall(section("Results at a glance"))
     }
 
 
@@ -40,9 +48,8 @@ def test_results_table_matches_the_runs(complex_wave_runs):
 
 def defaults_rows() -> dict[str, str]:
     """The "Defaults and constants" table: constant name (backticks dropped) -> value text."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Defaults and constants", 1)[1].split("\n## ", 1)[0]
-    cells = (line.split("|")[1:3] for line in section.splitlines() if line.startswith("| "))
+    lines = section("Defaults and constants").splitlines()
+    cells = (line.split("|")[1:3] for line in lines if line.startswith("| "))
     return {name.strip().strip("`"): value.strip() for name, value in cells}
 
 
@@ -66,3 +73,19 @@ def test_defaults_table_matches_the_code():
     assert numeric.keys() == code.keys()
     for name, value in numeric.items():
         assert value == code[name], name
+
+
+def test_library_use_runs_as_written():
+    blocks = re.findall(r"^```python\n(.*?)^```$", section("Library use"), re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:  # in order: later blocks read what earlier ones defined
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["next_field"].grid == namespace["grid"]
+
+
+def test_root_exports_exactly_the_names_the_readme_uses():
+    submodules = {module.name for module in pkgutil.iter_modules(bvd1d.__path__)}
+    written = set(re.findall(r"\bbvd1d\.(\w+)", README.read_text(encoding="utf-8")))
+    assert written - submodules == set(bvd1d.__all__)
+    assert all(hasattr(bvd1d, name) for name in bvd1d.__all__)

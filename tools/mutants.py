@@ -2,14 +2,14 @@
 
 Usage (from the repository root):
 
-    python tools/mutants.py      # about 7 min on a 2-core Xeon
+    python tools/mutants.py      # about 10 min on a 2-core Xeon
 
 Each mutant is one (file, old, new) edit: a comparison boundary, a constant,
-a wrong operand or a dropped term. The script copies the files the suite
-reads (src/, tests/, tools/, perfbench/ without its out/, README.md and
-pyproject.toml) into a temporary directory, runs tier-1 there once
-unmutated, and then once per mutant with that single edit applied, with
-`-x`, the two known reds deselected and tests/test_mutants.py left out. A
+a wrong operand, swapped operands or a dropped term. The script copies the
+files the suite reads (src/, tests/, tools/, perfbench/ without its out/,
+README.md and pyproject.toml) into a temporary directory, runs tier-1 there
+once unmutated, and then once per mutant with that single edit applied,
+with `-x`, the two known reds deselected and tests/test_mutants.py left out. A
 mutant is killed when the run fails and survived when it passes. Each
 survivor should get a test that kills it or a written argument that it is
 equivalent. tests/test_mutants.py checks that every `old` still occurs
@@ -48,11 +48,19 @@ MUTANTS = (
     (BVD, "m_weno = _prev(np.minimum(ww, tw))", "m_weno = _prev(np.minimum(ww, wt))"),
     (BVD, "tbv_weno = _prev(np.abs(ww, out=ww)) + ww", "tbv_weno = np.abs(ww, out=ww)"),
     (BVD, "wl, tl = _next(candidates.weno_left),", "wl, tl = candidates.weno_left,"),
+    (BVD, "ww = candidates.weno_right - _next(candidates.weno_left)",
+     "ww = candidates.weno_right - candidates.weno_left"),
     (RECONSTRUCT, "_THINC_EXP_CAP = 25.0", "_THINC_EXP_CAP = 20.0"),
     (RECONSTRUCT, "np.where(denom > 0.0, denom, scaled)", "np.where(denom >= 0.0, denom, scaled)"),
     (RECONSTRUCT, "admissible &= rise > 0.0", "admissible &= rise >= 0.0"),
     (RECONSTRUCT, "    b1 += curv[1 : 1 + m]\n", ""),
     (RECONSTRUCT, "    right += tb\n", ""),
+    (RECONSTRUCT, "b0 = at(line, -2) - at(four, -1)", "b0 = at(four, -1) - at(line, -2)"),
+    (RECONSTRUCT, "np.subtract(at(two, -2), v0, out=v0)", "np.subtract(v0, at(two, -2), out=v0)"),
+    (RECONSTRUCT, "position = values - qmin", "position = qmin - values"),
+    (RECONSTRUCT, "theta = qp - qm", "theta = qm - qp"),
+    (RECONSTRUCT, "a = scaled - 1.0", "a = 1.0 - scaled"),
+    (RECONSTRUCT, "rise = qp - values", "rise = values - qp"),
     (EXPERIMENTS, "np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))",
      "np.where(values < 0.1, -1, np.where(values > 0.9, 1, 0))"),
     (SOLVER, "time.t_end / dt - 1e-12", "time.t_end / dt - 1e-9"),
