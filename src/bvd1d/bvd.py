@@ -9,12 +9,12 @@ while leaving smooth regions to the high-order polynomial.
 
 Face indexing convention: face j is x_{j+1/2}, sitting between cell j and
 cell (j+1) % n. All per-face arrays use this layout. A cell's neighbours
-across faces j-1 and j are read from the ghost-cell layout: field.periodic_pad
-adds one wrap-around cell on each side of a per-cell array, and the shifted
-operands are slice views of it (_prev, _next). bvd1 and bvd2 read the BV
-from _face_jumps, and bvd4 evaluates its WW and TT jumps the same way: each
-face's signed jump is evaluated once per candidate pair and read by both
-cells it separates.
+across faces j-1 and j are read from the ghost-cell layout: _prev and _next
+gather a per-cell array and one wrap-around cell on each side into a new
+array, through field.periodic_pad's cached index, and return a slice of it.
+bvd1 and bvd2 read the BV from _face_jumps, and bvd4 evaluates its WW and TT
+jumps the same way: each face's signed jump is evaluated once per candidate
+pair and read by both cells it separates.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import periodic_pad
+from .field import periodic_pad, read_only
 from .reconstruct import (
     ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
 )
 
-# Guard used by the smoothness indicator and the blend-weight denominator.
-BVD3_EPS = 1e-16
+# Guard used by the smoothness indicator and the blend-weight denominator; like
+# the selectors' other constant operands, a read-only 0-d array (see reconstruct).
+BVD3_EPS = read_only(1e-16)
+_ZERO, _ONE = map(read_only, (0.0, 1.0))
 
 # Enumeration order for candidate combinations at a face; ties keep the
 # earliest entry, so the polynomial candidate wins any exact tie.
@@ -95,12 +97,12 @@ def build_candidates(
 
 
 def _prev(x: np.ndarray) -> np.ndarray:
-    """x[(j - 1) % n] per cell j: a view of the one-ghost-cell pad."""
+    """x[(j - 1) % n] per cell j: a slice of x's one-ghost-cell pad (one gather)."""
     return periodic_pad(x, 1)[:-2]
 
 
 def _next(x: np.ndarray) -> np.ndarray:
-    """x[(j + 1) % n] per cell j: a view of the one-ghost-cell pad."""
+    """x[(j + 1) % n] per cell j: a slice of x's one-ghost-cell pad (one gather)."""
     return periodic_pad(x, 1)[2:]
 
 
@@ -119,7 +121,7 @@ def assemble_interfaces(
     q^L at face j is the blended right-boundary value of cell j; q^R is the
     blended left-boundary value of cell j+1 (periodic wrap).
     """
-    weno_share = 1.0 - omega
+    weno_share = _ONE - omega
     left_of_cell = omega * candidates.thinc_left
     left_of_cell += weno_share * candidates.weno_left
     right_of_cell = omega * candidates.thinc_right
@@ -166,7 +168,7 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
     signed_left = _prev(signed_right)
 
     agree = nominate_from_right == nominate_from_left
-    conflict_takes_weno = signed_right * signed_left < 0.0
+    conflict_takes_weno = signed_right * signed_left < _ZERO
     use_thinc = np.where(agree, nominate_from_right, ~conflict_takes_weno)
     return _discrete_result(use_thinc, candidates)
 
@@ -212,7 +214,7 @@ def bvd3_select(
     np.square(jumps, out=jumps)
     d4_left, d4_right, dq4_left, dq4_right = np.square(jumps, out=jumps)
     tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)
-    smoothness = (1.0 - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
+    smoothness = (_ONE - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
     blend = smoothness < s_cutoff
 
     e_left = candidates.thinc_left - candidates.weno_left
@@ -220,10 +222,10 @@ def bvd3_select(
     denom = e_left**2 + e_right**2
     degenerate = denom < BVD3_EPS
     raw = np.where(
-        degenerate, 0.0, (d_left * e_left + d_right * e_right) / np.where(degenerate, 1.0, denom)
+        degenerate, _ZERO, (d_left * e_left + d_right * e_right) / np.where(degenerate, _ONE, denom)
     )
-    omega = np.where(blend, np.minimum(np.maximum(raw, 0.0), 1.0), 0.0)
-    n_clamped = int(np.count_nonzero(blend & ((raw < 0.0) | (raw > 1.0))))
+    omega = np.where(blend, np.minimum(np.maximum(raw, _ZERO), _ONE), _ZERO)
+    n_clamped = int(np.count_nonzero(blend & ((raw < _ZERO) | (raw > _ONE))))
 
     face_left, face_right = assemble_interfaces(omega, candidates)
     return SelectionResult(omega, face_left, face_right, n_clamped=n_clamped)

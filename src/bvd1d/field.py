@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,20 +63,31 @@ class CellField:
         return float(self.averages.sum() * self.grid.dx)
 
 
+def read_only(value) -> np.ndarray:
+    """np.asarray(value) with writing disabled: an array made once and shared by every call."""
+    array = np.asarray(value)
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _ghost_index(n: int, width: int) -> np.ndarray:
+    """periodic_pad's gather index, made once per (n, width): entry k is (k - width) % n."""
+    if not (isinstance(width, (int, np.integer)) and width >= 0):
+        raise ValueError(f"width must be a non-negative integer, got {width!r}")
+    return read_only(np.arange(-width, n + width) % n)
+
+
 def periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
     """Ghost-cell layout: `values` with `width` wrap-around cells on each side.
 
     Entry k of the result is cell (k - width) % n, so for a padded array g
     the slice g[width + s : width + s + n] reads cell (i + s) % n at position
-    i, as a view, for any shift |s| <= width. Returns a new array.
+    i, as a view, for any shift |s| <= width; a width above n wraps round the
+    grid more than once. Returns a new array, one gather through a cached
+    index.
     """
-    n = values.shape[0]
-    if not 0 <= width <= n:
-        if width < 0:
-            raise ValueError(f"width must be >= 0, got {width}")
-        # the stencil wraps round the grid more than once
-        return values.take(np.arange(-width, n + width), mode="wrap")
-    return np.concatenate((values[n - width :], values, values[:width]))
+    return values[_ghost_index(values.shape[0], width)]
 
 
 def project_initial(grid: Grid1D, profile: Callable[[np.ndarray], np.ndarray]) -> CellField:

@@ -5,11 +5,11 @@ cell: the value the in-cell profile takes at the cell's left face x_{i-1/2}
 and at its right face x_{i+1/2}.
 
 Periodic neighbours come from the ghost-cell layout (LeVeque, Finite Volume
-Methods for Hyperbolic Problems, 2002, ch. 7): field.periodic_pad copies the
-wrap-around cells once per call, two ghost cells per side for the 5-point
-WENO-Z stencil and one for jump_position, and every neighbour operand is a
-slice view of that one array. THINC and its admissibility test read one jump
-position: one evaluation per stage, in bvd.build_candidates.
+Methods for Hyperbolic Problems, 2002, ch. 7): one gather through a cached
+index builds a new array, jump_position's one-ghost-cell pad or WENO-Z's
+mirrored two-ghost-cell line, and every neighbour operand is a slice view of
+it. THINC and its admissibility test read one jump position: one evaluation
+per stage, in bvd.build_candidates.
 
 WENO-Z's left face is its right-face formula read on the reversed stencil
 (the mirror symmetry of the upwind-biased stencil; Jiang & Shu, JCP 126,
@@ -18,39 +18,49 @@ once, over the padded field followed by its own reverse: the first half
 yields the right faces, the reversed second half the left faces, and the
 four stencils that straddle the seam between the halves are discarded.
 
-The kernels write their temporaries in place, never into an argument. An
-in-place update may swap the two operands of one + or *, which is exact;
-otherwise every kernel keeps the operations and operand order of the
-formulas it was validated with, so results match the former
-whole-array-shift kernels bit for bit (tests/test_bitwise.py,
+The kernels compute in float64 (CellField guarantees it), where 0-d float64
+constants give a Python float's bits, and write their temporaries in place,
+never into an argument. An in-place update may swap the two operands of one
++ or *, which is exact; otherwise every kernel keeps the operations and
+operand order of the formulas it was validated with, so results match the
+former whole-array-shift kernels bit for bit (tests/test_bitwise.py,
 tests/test_no_mutation.py). One algebraically equivalent shortcut is
-deliberately not taken: reusing the right face's beta_0/beta_2, swapped,
-for the left face changes the last bit of the left values.
+deliberately not taken: reusing the right face's beta_0/beta_2, swapped, for
+the left face changes the last bit of the left values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from .field import periodic_pad
+from .field import periodic_pad, read_only
+
+# The kernels' constant operands are read-only 0-d float64 arrays, made once. Under
+# numpy 2 (NEP 50) a Python float operand is converted on every call: at N = 54,
+# `a * 3.0` takes 0.58-0.62 us, `a * np.array(3.0)` 0.37-0.44 us and
+# `a * np.float64(3.0)` 0.54-0.64 us (numpy 2.4.6 on a 2-core Xeon).
+_ZERO, _QUARTER, _HALF, _ONE, _TWO, _THREE, _FOUR, _FIVE, _SIX, _SEVEN, _ELEVEN = map(
+    read_only, (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 11.0))
+_THIRTEEN_TWELFTHS = read_only(13.0 / 12.0)
 
 # Regularization constants. Three distinct epsilons are in play across the
 # package: the WENO-Z weight guard below, the THINC division guard in
 # ThincParams, and the smoothness-indicator guard in bvd.BVD3_EPS.
-WENO_Z_EPS = 1e-40
+WENO_Z_EPS = read_only(1e-40)
 
 # Linear (optimal) weights of the three quadratic sub-stencils.
-_D0, _D1, _D2 = 0.1, 0.6, 0.3
+_D0, _D1, _D2 = map(read_only, (0.1, 0.6, 0.3))
 
 # Cap on the THINC exponent argument. Admissible cells satisfy
 # |beta*(2C-1)| <= beta, far below the cap for any practical steepness, so
 # consumed values are never affected; the cap only keeps boundary values
 # finite for the degenerate inputs that the admissibility test rejects.
 _THINC_EXP_CAP = 25.0
+_EXP_FLOOR, _EXP_CAP = read_only(-_THINC_EXP_CAP), read_only(_THINC_EXP_CAP)
 
 
 @dataclass(frozen=True)
@@ -58,21 +68,29 @@ class ThincParams:
     """Sigmoid-reconstruction parameters: jump steepness, plus the fixed division guard."""
 
     beta: float = 1.8
-    eps: ClassVar[float] = 1e-20
+    eps: ClassVar[np.ndarray] = read_only(1e-20)
 
     def __post_init__(self) -> None:
         # cosh(beta) overflows past beta = 710.4758..., and THINC's faces turn NaN.
         with np.errstate(over="ignore"):
             if not (self.beta > 0.0 and self.cosh_beta < np.inf):
                 raise ValueError("beta must be > 0 with cosh(beta) finite (beta <= 710.4758)")
+        object.__setattr__(self, "beta_array", read_only(self.beta))  # as cosh_beta: a 0-d operand
 
     @cached_property
-    def cosh_beta(self) -> float:
-        return float(np.cosh(self.beta))
+    def cosh_beta(self) -> np.ndarray:
+        return read_only(np.cosh(self.beta))
 
     @cached_property
-    def tanh_beta(self) -> float:
-        return float(np.tanh(self.beta))
+    def tanh_beta(self) -> np.ndarray:
+        return read_only(np.tanh(self.beta))
+
+
+@lru_cache(maxsize=None)
+def _mirrored_index(n: int) -> np.ndarray:
+    """weno_z_field's gather index: concat(p, p[::-1]), p the two-ghost-cell pad of range(n)."""
+    pad = periodic_pad(np.arange(n), 2)
+    return read_only(np.concatenate((pad, pad[::-1])))
 
 
 def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,48 +102,47 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same formula to the mirrored stencil.
 
     Both faces come from one evaluation of the right-face formula over the
-    mirrored line concat(g, g[::-1]), g the two-ghost-cell pad: position i
-    of the result is cell i's right face, position n+4+k is cell n-1-k's
-    left face, and the 4 positions n..n+3, whose stencils straddle the seam
-    between the two halves, are computed and ignored. Temporaries are
-    updated in place; every operation keeps its operands, at most swapping
-    the two of one + or *.
+    mirrored line concat(g, g[::-1]), g the two-ghost-cell pad (one gather):
+    position i of the result is cell i's right face, position n+4+k is cell
+    n-1-k's left face, and the 4 positions n..n+3, whose stencils straddle
+    the seam between the two halves, are computed and ignored. Temporaries
+    are updated in place; every operation keeps its operands, at most
+    swapping the two of one + or *.
 
     Returns (left, right) arrays congruent with `values`.
     """
     n = values.shape[0]
-    g = periodic_pad(values, 2)
-    line = np.concatenate((g, g[::-1]))
+    line = values[_mirrored_index(n)]
     m = line.shape[0] - 4  # stencil centres: the right faces, the seam, the left faces
 
     def at(array: np.ndarray, k: int) -> np.ndarray:
         """Entry j + k of a line-length array, for every stencil centre j."""
         return array[2 + k : 2 + k + m]
 
-    two, four, five = 2.0 * line, 4.0 * line, 5.0 * line
+    two, four, five = _TWO * line, _FOUR * line, _FIVE * line
     c = at(line, 0)
-    three_c = 3.0 * c
+    three_c = _THREE * c
 
     # 13/12 (q_{k-1} - 2 q_k + q_{k+1})^2 for every centre k; beta_0..beta_2
     # read it at the sub-stencil centres j-1, j, j+1.
     curv = line[:-2] - two[1:-1]
     curv += line[2:]
     np.square(curv, out=curv)
-    curv *= 13.0 / 12.0
+    curv *= _THIRTEEN_TWELFTHS
 
     b0 = at(line, -2) - at(four, -1)
     b0 += three_c
     np.square(b0, out=b0)
-    b0 *= 0.25
+    b0 *= _QUARTER
     b0 += curv[:m]
     b1 = at(line, -1) - at(line, 1)
     np.square(b1, out=b1)
-    b1 *= 0.25
+    b1 *= _QUARTER
     b1 += curv[1 : 1 + m]
     b2 = three_c - at(four, 1)
     b2 += at(line, 2)
     np.square(b2, out=b2)
-    b2 *= 0.25
+    b2 *= _QUARTER
     b2 += curv[2 : 2 + m]
     del four, three_c, curv  # dead from here on; freeing them lowers the peak
 
@@ -135,21 +152,21 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for b, d in ((b0, _D0), (b1, _D1), (b2, _D2)):
         b += WENO_Z_EPS
         np.divide(tau5, b, out=b)
-        b += 1.0
+        b += _ONE
         b *= d
     del tau5
 
-    v0 = 7.0 * at(line, -1)
+    v0 = _SEVEN * at(line, -1)
     np.subtract(at(two, -2), v0, out=v0)
-    v0 += 11.0 * c
-    v0 /= 6.0
+    v0 += _ELEVEN * c
+    v0 /= _SIX
     v1 = -at(line, -1)
     v1 += at(five, 0)
     v1 += at(two, 1)
-    v1 /= 6.0
+    v1 /= _SIX
     v2 = at(two, 0) + at(five, 1)
     v2 -= at(line, 2)
-    v2 /= 6.0
+    v2 /= _SIX
 
     v0 *= b0
     v1 *= b1
@@ -185,32 +202,32 @@ def thinc_field(jump: tuple[np.ndarray, ...], params: ThincParams) -> tuple[np.n
     _, qm, qp, qmin, span, position = jump
     theta = qp - qm
     np.sign(theta, out=theta)
-    ratio = 2.0 * position
-    ratio -= 1.0
-    arg = theta * params.beta
+    ratio = _TWO * position
+    ratio -= _ONE
+    arg = theta * params.beta_array
     arg *= ratio
-    np.maximum(arg, -_THINC_EXP_CAP, out=arg)
-    np.minimum(arg, _THINC_EXP_CAP, out=arg)
+    np.maximum(arg, _EXP_FLOOR, out=arg)
+    np.minimum(arg, _EXP_CAP, out=arg)
     scaled = np.exp(arg)  # out of place: exp's SIMD path is not checked on aliased arrays
     scaled /= params.cosh_beta
     tb = params.tanh_beta
-    a = scaled - 1.0
+    a = scaled - _ONE
     a /= tb
     # 1 + a*tanh(beta) equals `scaled` exactly in real arithmetic; restore it
     # where rounding collapses the sum to zero (saturated inadmissible cells).
     denom = a * tb
-    denom += 1.0
-    denom = np.where(denom > 0.0, denom, scaled)
-    half_jump = 0.5 * span
+    denom += _ONE
+    denom = np.where(denom > _ZERO, denom, scaled)
+    half_jump = _HALF * span
     left = theta * a
-    left += 1.0
+    left += _ONE
     left *= half_jump
     left += qmin
     right = a
     right += tb
     right *= theta
     right /= denom
-    right += 1.0
+    right += _ONE
     right *= half_jump
     right += qmin
     return left, right
@@ -219,12 +236,19 @@ def thinc_field(jump: tuple[np.ndarray, ...], params: ThincParams) -> tuple[np.n
 def thinc_admissible_field(jump: tuple[np.ndarray, ...], delta: float) -> np.ndarray:
     """Per-cell mask, from jump_position, of where the sigmoid fit is usable:
     the cell position C lies in (delta, 1 - delta) and the data are strictly monotone."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 0.5)")
+    low, high = _open_interval(delta)
     values, qm, qp, _, _, position = jump
     rise = qp - values
     rise *= values - qm
-    admissible = position > delta
-    admissible &= position < 1.0 - delta
-    admissible &= rise > 0.0
+    admissible = position > low
+    admissible &= position < high
+    admissible &= rise > _ZERO
     return admissible
+
+
+@lru_cache(maxsize=None)
+def _open_interval(delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, 1 - delta) as read-only 0-d arrays, made once per delta in (0, 0.5)."""
+    if not 0.0 < delta < 0.5:
+        raise ValueError("delta must lie in (0, 0.5)")
+    return read_only(delta), read_only(1.0 - delta)

@@ -8,10 +8,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bvd import SELECTORS, SelectionResult, build_candidates, bvd3_select
-from .field import CellField, periodic_pad
+from .field import CellField, periodic_pad, read_only
 from .reconstruct import ThincParams, weno_z_field
 
 SCHEMES = ("wenoz", *SELECTORS)
+# The flux's and the RK combination's constant operands (see reconstruct)
+_QUARTER, _HALF, _THREE_QUARTERS, _TWO_THIRDS, _THREE = map(
+    read_only, (0.25, 0.5, 0.75, 2.0 / 3.0, 3.0))
 
 
 class BlowupError(RuntimeError):
@@ -24,8 +27,13 @@ class FluxSpec:
 
     speed: float = 1.0
 
+    def __post_init__(self) -> None:
+        # riemann_flux's operands speed and 0.5 * |speed|, as read-only 0-d arrays
+        object.__setattr__(self, "speed_array", read_only(self.speed))
+        object.__setattr__(self, "half_wave_speed", read_only(0.5 * self.wave_speed))
+
     def flux(self, q):
-        return self.speed * q
+        return self.speed_array * q
 
     @property
     def wave_speed(self) -> float:
@@ -48,8 +56,10 @@ class SchemeConfig:
             raise ValueError("delta must lie in (0, 0.5)")
         if not self.s_cutoff > 0.0:
             raise ValueError("s_cutoff must be positive")
-        # ThincParams checks beta; built once per config, not once per RK stage
+        # ThincParams checks beta; built once per config, not once per RK stage, like
+        # the read-only 0-d s_cutoff that select passes to bvd3_select
         object.__setattr__(self, "thinc_params", ThincParams(beta=self.beta))
+        object.__setattr__(self, "s_cutoff_array", read_only(self.s_cutoff))
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,9 @@ def riemann_flux(q_left, q_right, spec: FluxSpec):
     Broadcasts over arrays.
     """
     central = spec.flux(q_left) + spec.flux(q_right)
-    central *= 0.5
+    central *= _HALF
     dissipation = q_right - q_left
-    dissipation *= 0.5 * spec.wave_speed
+    dissipation *= spec.half_wave_speed
     central -= dissipation
     return central
 
@@ -117,46 +127,54 @@ def select(values: np.ndarray, scheme: SchemeConfig) -> SelectionResult:
         )
     candidates = build_candidates(values, scheme.thinc_params, scheme.delta)
     if scheme.scheme == "bvd3":
-        return bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff)
+        return bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff_array)
     return SELECTORS[scheme.scheme](candidates)
 
 
-def _rhs_values(
-    values: np.ndarray, dx: float, scheme: SchemeConfig, flux: FluxSpec
-) -> tuple[np.ndarray, int, int]:
+def _rhs(
+    values: np.ndarray, dx: np.ndarray, scheme: SchemeConfig, flux: FluxSpec
+) -> tuple[np.ndarray, SelectionResult]:
     sel = select(values, scheme)
     face_flux = riemann_flux(sel.face_left, sel.face_right, flux)
     flux_in = periodic_pad(face_flux, 1)[:-2]  # face j-1, the cell's left face
     dqdt = face_flux - flux_in
     np.negative(dqdt, out=dqdt)
     dqdt /= dx
+    return dqdt, sel
+
+
+def _rhs_values(values, dx, scheme: SchemeConfig, flux: FluxSpec) -> tuple[np.ndarray, int, int]:
+    """_rhs with its selection's THINC and clamped cell counts."""
+    dqdt, sel = _rhs(values, dx, scheme, flux)
     return dqdt, sel.thinc_cells, sel.n_clamped
 
 
 def _ssp_rk3_values(
-    values: np.ndarray, dt: float, dx: float, scheme: SchemeConfig, flux: FluxSpec
+    values: np.ndarray, dt: np.ndarray, dx: np.ndarray, scheme: SchemeConfig, flux: FluxSpec
 ) -> tuple[np.ndarray, int, int]:
-    """One Shu-Osher SSP-RK3 step on raw arrays.
+    """One Shu-Osher SSP-RK3 step on raw arrays, with 0-d float64 dt and dx.
 
     Candidate selection is recomputed at every stage; the reported THINC
-    count is the first stage's, i.e. the selection seen by the current data.
+    count is the first stage's, i.e. the selection seen by the current data,
+    and only that stage counts it. Clamped cells are summed over all three.
     Each stage's RHS array is owned here, so the combination is written
     into it in place, with the operands and order of the Shu-Osher formulas.
     """
     u1, n_thinc, n_clamped = _rhs_values(values, dx, scheme, flux)
     u1 *= dt
     u1 += values  # u1 = values + dt * k1
-    u2, _, c2 = _rhs_values(u1, dx, scheme, flux)
+    u2, sel = _rhs(u1, dx, scheme, flux)
+    n_clamped += sel.n_clamped
     u2 *= dt
     u2 += u1
-    u2 *= 0.25
-    u2 += 0.75 * values  # u2 = 0.75 * values + 0.25 * (u1 + dt * k2)
-    u3, _, c3 = _rhs_values(u2, dx, scheme, flux)
+    u2 *= _QUARTER
+    u2 += _THREE_QUARTERS * values  # u2 = 0.75 * values + 0.25 * (u1 + dt * k2)
+    u3, sel = _rhs(u2, dx, scheme, flux)
     u3 *= dt
     u3 += u2
-    u3 *= 2.0 / 3.0
-    u3 += values / 3.0  # u3 = values / 3 + 2/3 * (u2 + dt * k3)
-    return u3, n_thinc, n_clamped + c2 + c3
+    u3 *= _TWO_THIRDS
+    u3 += values / _THREE  # u3 = values / 3 + 2/3 * (u2 + dt * k3)
+    return u3, n_thinc, n_clamped + sel.n_clamped
 
 
 def advect(
@@ -185,10 +203,11 @@ def advect(
     values = initial.averages.copy()
     t_counts = np.zeros(n_steps, dtype=int)
     clamped = 0
+    dx = read_only(grid.dx)  # like each step's dt, a 0-d operand of the stages
     for step in range(n_steps):
         step_dt = dt if step < n_steps - 1 else time.t_end - (n_steps - 1) * dt
         values, t_counts[step], n_cl = _ssp_rk3_values(
-            values, step_dt, grid.dx, scheme, flux
+            values, np.array(step_dt), dx, scheme, flux
         )
         clamped += n_cl
         if not np.all(np.isfinite(values)):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bvd1d import field
 from bvd1d.field import CellField, Grid1D, periodic_pad, project_initial
 
 from oracles import sine_cell_averages
@@ -74,6 +76,49 @@ class TestStencil:
     def test_negative_half_width_rejected(self):
         with pytest.raises(ValueError):
             stencil([1.0, 2.0], 0, -1)
+
+
+def concatenated_pad(values, width):
+    """The former periodic_pad: three slices concatenated, or a wrapping take past one wrap."""
+    n = values.shape[0]
+    if width > n:
+        return values.take(np.arange(-width, n + width), mode="wrap")
+    return np.concatenate((values[n - width :], values, values[:width]))
+
+
+class TestPeriodicPad:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+        st.integers(0, 3 * n))))
+    def test_matches_the_concatenated_pad_bit_for_bit(self, case):
+        values, width = np.array(case[0]), case[1]
+        padded = periodic_pad(values, width)
+        assert padded.dtype == values.dtype
+        assert padded.tobytes() == concatenated_pad(values, width).tobytes()
+
+    @pytest.mark.parametrize("width", [-1, -3, 1.5, 2.0, "1", None])
+    def test_negative_or_non_integer_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            periodic_pad(np.arange(4.0), width)
+
+    def test_numpy_integer_width_accepted(self):
+        assert periodic_pad(np.arange(4.0), np.int64(1)).tolist() == [3.0, 0.0, 1.0, 2.0, 3.0, 0.0]
+
+    def test_cached_index_is_read_only(self):
+        index = field._ghost_index(6, 2)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+        assert field._ghost_index(6, 2) is index
+
+    def test_writing_the_result_changes_neither_input_nor_cache(self):
+        values = np.arange(5.0)
+        first = periodic_pad(values, 2)
+        first[:] = -1.0
+        assert values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert periodic_pad(values, 2).tolist() == [3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0]
+        assert field._ghost_index(5, 2).tolist() == [3, 4, 0, 1, 2, 3, 4, 0, 1]
 
 
 class TestProjectInitial:

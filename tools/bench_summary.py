@@ -10,8 +10,9 @@ records both medians and IQRs over the runs' reported values, and in how many
 pairs the change was better. Under "per_layer" it records, for each per-layer
 metric, the parent's and the change's median over their --trace 1 runs of
 that workload. Under "calls_per_stage" it records each checkout's numpy
-calls and slicings per RK stage, per scheme and per N of
-tools/count_calls.py, which runs in a subprocess on the checkout's src/.
+calls, slicings, elements written and calls with a float operand per RK
+stage, per scheme and per N of tools/count_calls.py, which runs in a
+subprocess on the checkout's src/.
 The provenance adds what the result files leave out: numpy's
 kernel dispatch for exp and power, and the OpenBLAS core. Nothing in bvd1d
 imports this script.
@@ -35,7 +36,8 @@ BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 COUNT_CALLS_CHILD = """
 import json, count_calls
 from bvd1d import solver
-print(json.dumps({scheme: {n: count_calls.stage_counts(scheme, n)[0] for n in count_calls.SIZES}
+print(json.dumps({scheme: {n: count_calls.stage_counts(scheme, n)[0]._asdict()
+                           for n in count_calls.SIZES}
                   for scheme in solver.SCHEMES}))
 """
 
@@ -54,8 +56,8 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def stage_call_counts(checkout: Path) -> dict[str, dict[str, list[int]]]:
-    """{scheme: {N: [numpy calls, slicings]}} of one RK stage of the checkout's bvd1d."""
+def stage_call_counts(checkout: Path) -> dict[str, dict[str, dict[str, int]]]:
+    """{scheme: {N: count_calls.Tally as a dict}} of one RK stage of the checkout's bvd1d."""
     paths = [str(checkout.resolve() / "src"), str(Path(__file__).resolve().parent)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run([sys.executable, "-c", COUNT_CALLS_CHILD], env=env, check=True,

@@ -1,23 +1,39 @@
-"""Count the numpy calls and slicings of one RK stage, per scheme and per layer.
+"""Count the numpy calls, slicings and elements written of one RK stage, per scheme and layer.
 
 Usage (from the repository root):
 
     PYTHONPATH=src python tools/count_calls.py
 
-Each scheme runs one solver._rhs_values on the complex-wave profile at
-N = 25, 200 and 2000, with the cell averages viewed as a counting ndarray
-subclass. The first table gives each stage's total; then, per N, each layer's
-inclusive count (a layer's own calls plus those of the layers it runs), read
-by wrappers on the names the stage looks the layers up by, as
-perfbench/tracing.py wraps them, plus bvd's jump_position. A ufunc call
-(__array_ufunc__, reductions such as .sum() included) or a numpy function
-call (__array_function__) that receives a counted array counts once, at the
-outermost level only: the ufuncs np.stack runs inside itself do not count.
-Slicing and indexing (__getitem__) are counted separately.
+Each scheme runs one solver._rhs_values (the first RK stage, which alone
+also counts the THINC cells) on the complex-wave profile at N = 25, 200 and
+2000, with the cell averages viewed as a counting ndarray subclass and dx a
+0-d float64 array, as solver.advect passes it. The first table gives each
+stage's totals; then, per N, each layer's inclusive count (a layer's own
+calls plus those of the layers it runs), read by wrappers on the names the
+stage looks the layers up by, as perfbench/tracing.py wraps them, plus bvd's
+jump_position. A ufunc call (__array_ufunc__, reductions such as .sum()
+included) or a numpy function call (__array_function__) that receives a
+counted array counts once, at the outermost level only: the ufuncs np.stack
+runs inside itself do not count. Slicing and indexing (__getitem__) are
+counted separately.
+
+Three more tallies ride along:
+- elements: the size of every array a counted call returns or writes (out=
+  and np.copyto's destination included), plus the size of every copy an
+  indexing makes (a gather such as field.periodic_pad's). Views write
+  nothing. At N = 2000 a stage's cost grows with this count, where the call
+  count is blind.
+- float operands: the counted calls that receive a Python float (or a numpy
+  float scalar) as an argument. numpy 2 converts such an operand again on
+  every call (NEP 50); the stage path passes read-only 0-d float64 arrays
+  instead, so this reads 0.
 
 Caveats:
 - It counts and never times. The subclass changes numpy's dispatch, so a
-  stage runs slower under it than without it.
+  stage runs slower under it than without it. Calls and elements together
+  are a proxy for a stage's time, not a timer: exp and divide cost more per
+  element than add. Like the calls, they support a speed claim but do not
+  replace timing it.
 - Methods that bypass both protocols, such as astype and take, calls on
   arrays that never meet a counted array, and Python-level work are not
   counted.
@@ -28,6 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,36 +64,77 @@ LAYER_POINTS = (
 )
 
 
+class Tally(NamedTuple):
+    """Counts over one stretch of work."""
+
+    calls: int
+    slicings: int
+    elements: int
+    float_operands: int
+
+    def __sub__(self, other):
+        return Tally(*(a - b for a, b in zip(self, other)))
+
+    def __add__(self, other):
+        return Tally(*(a + b for a, b in zip(self, other)))
+
+
 class Counted(np.ndarray):
-    """An ndarray whose numpy calls and slicings add to class-wide tallies."""
+    """An ndarray whose numpy calls, slicings and elements written add to class-wide tallies."""
 
     calls = 0
     slicings = 0
+    elements = 0
+    float_operands = 0
     depth = 0  # > 0 while numpy runs a counted call, whose inner calls do not count
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if out is not None:
             kwargs["out"] = tuple(_plain(x) for x in out)
-        result = _counted_call(getattr(ufunc, method), *map(_plain, inputs), **kwargs)
+        result = _counted_call(getattr(ufunc, method), inputs, *map(_plain, inputs), **kwargs)
         if out is not None:
             return out[0] if len(out) == 1 else out
         return _wrap(result)
 
     def __array_function__(self, func, types, args, kwargs):
-        return _wrap(_counted_call(super().__array_function__, func, types, args, kwargs))
+        operands = (*args, *kwargs.values())
+        result = _counted_call(super().__array_function__, operands, func, types, args, kwargs)
+        if func is np.copyto and Counted.depth == 0:
+            Counted.elements += args[0].size  # writes into its destination, returns None
+        return _wrap(result)
 
     def __getitem__(self, key):
-        Counted.slicings += Counted.depth == 0
-        return super().__getitem__(key)
+        # counted once it succeeds: tuple unpacking probes one index past the end
+        result = super().__getitem__(key)
+        if Counted.depth == 0:
+            Counted.slicings += 1
+            if isinstance(result, np.ndarray) and not np.may_share_memory(_plain(result), _plain(self)):
+                Counted.elements += result.size  # a copy: a gather or a boolean mask
+        return result
+
+    @classmethod
+    def tally(cls) -> Tally:
+        return Tally(cls.calls, cls.slicings, cls.elements, cls.float_operands)
+
+    @classmethod
+    def reset(cls) -> None:
+        cls.calls = cls.slicings = cls.elements = cls.float_operands = 0
 
 
-def _counted_call(fn, *args, **kwargs):
-    Counted.calls += Counted.depth == 0
+def _counted_call(fn, operands, *args, **kwargs):
+    """fn(*args, **kwargs), counted as one call with `operands` unless another counted call runs it."""
+    outer = Counted.depth == 0
+    Counted.calls += outer
+    Counted.float_operands += outer and any(isinstance(x, float) for x in operands)
     Counted.depth += 1
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
     finally:
         Counted.depth -= 1
+    if outer:
+        outputs = result if isinstance(result, tuple) else (result,)
+        Counted.elements += sum(x.size for x in outputs if isinstance(x, (np.ndarray, np.generic)))
+    return result
 
 
 def _plain(x):
@@ -92,18 +150,18 @@ def _wrap(x):
 
 
 @contextlib.contextmanager
-def counting_layers(tally: dict[str, tuple[int, int]]):
-    """Add each layer call's inclusive (calls, slicings) to tally[layer name]."""
+def counting_layers(tally: dict[str, Tally]):
+    """Add each layer call's inclusive Tally to tally[layer name]."""
 
     def wrap(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            calls, slicings = Counted.calls, Counted.slicings
+            before = Counted.tally()
             try:
                 return fn(*args, **kwargs)
             finally:
-                c, s = tally.get(fn.__name__, (0, 0))
-                tally[fn.__name__] = (c + Counted.calls - calls, s + Counted.slicings - slicings)
+                spent = Counted.tally() - before
+                tally[fn.__name__] = tally.get(fn.__name__, Tally(0, 0, 0, 0)) + spent
         return wrapper
 
     saved = [(ns, key, ns[key]) for ns, key in LAYER_POINTS]
@@ -116,29 +174,33 @@ def counting_layers(tally: dict[str, tuple[int, int]]):
             ns[key] = fn
 
 
-def stage_counts(scheme: str, n_cells: int) -> tuple[tuple[int, int], dict[str, tuple[int, int]]]:
-    """(numpy calls, slicings) of one _rhs_values on the complex-wave profile, and per layer."""
+def stage_counts(scheme: str, n_cells: int) -> tuple[Tally, dict[str, Tally]]:
+    """The Tally of one _rhs_values on the complex-wave profile, and per layer."""
     profile = PROFILES["complex_waves"]
     grid = Grid1D(n_cells, profile.x_left, profile.x_right)
     values = project_initial(grid, profile.func).averages.view(Counted)
     config, flux = solver.SchemeConfig(scheme), solver.FluxSpec()
-    layers: dict[str, tuple[int, int]] = {}
-    Counted.calls = Counted.slicings = 0
+    layers: dict[str, Tally] = {}
+    Counted.reset()
     with counting_layers(layers):
-        solver._rhs_values(values, grid.dx, config, flux)
-    return (Counted.calls, Counted.slicings), layers
+        solver._rhs_values(values, np.array(grid.dx), config, flux)
+    return Counted.tally(), layers
 
 
-def _cell(count: tuple[int, int] | None) -> str:
-    return "-" if count is None else f"{count[0]} (+{count[1]})"
+def _cell(count: Tally | None) -> str:
+    return "-" if count is None else f"{count.calls} (+{count.slicings})"
 
 
 def main() -> None:
     counts = {(scheme, n): stage_counts(scheme, n) for scheme in solver.SCHEMES for n in SIZES}
-    print(f"numpy {np.__version__}: numpy calls (+ slicings) per RK stage")
-    print(f"{'scheme':<8}" + "".join(f"{f'N = {n}':>16}" for n in SIZES))
+    print(f"numpy {np.__version__}: numpy calls (+ slicings), elements written and calls with "
+          "a float operand, per RK stage")
+    print(f"{'scheme':<8}" + "".join(f"{f'N = {n}':>28}" for n in SIZES) + f"{'float':>7}")
     for scheme in solver.SCHEMES:
-        print(f"{scheme:<8}" + "".join(f"{_cell(counts[scheme, n][0]):>16}" for n in SIZES))
+        totals = [counts[scheme, n][0] for n in SIZES]
+        cells = (f"{_cell(t)} {t.elements:>10,}" for t in totals)
+        print(f"{scheme:<8}" + "".join(f"{c:>28}" for c in cells)
+              + f"{totals[0].float_operands:>7}")
     for n in SIZES:
         print(f"\nN = {n}: inclusive numpy calls (+ slicings) per layer in one RK stage")
         print(f"{'layer':<24}" + "".join(f"{scheme:>12}" for scheme in solver.SCHEMES))

@@ -38,12 +38,12 @@ BVD, RECONSTRUCT = "src/bvd1d/bvd.py", "src/bvd1d/reconstruct.py"
 SOLVER, EXPERIMENTS = "src/bvd1d/solver.py", "src/bvd1d/experiments.py"
 MUTANTS = (
     (BVD, "take = magnitude_k < magnitude", "take = magnitude_k <= magnitude"),
-    (BVD, "signed_right * signed_left < 0.0", "signed_right * signed_left <= 0.0"),
+    (BVD, "signed_right * signed_left < _ZERO", "signed_right * signed_left <= _ZERO"),
     (BVD, "_discrete_result(m_thinc < m_weno,", "_discrete_result(m_thinc <= m_weno,"),
     (BVD, "(tbv_thinc < tbv_weno)", "(tbv_thinc <= tbv_weno)"),
     (BVD, "blend = smoothness < s_cutoff", "blend = smoothness <= s_cutoff"),
     (BVD, "/ np.maximum(tbv_weno, BVD3_EPS)", "/ (tbv_weno + BVD3_EPS)"),
-    (BVD, "blend & ((raw < 0.0) | (raw > 1.0))", "blend & (raw < 0.0)"),
+    (BVD, "blend & ((raw < _ZERO) | (raw > _ONE))", "blend & (raw < _ZERO)"),
     (BVD, "degenerate = denom < BVD3_EPS", "degenerate = denom <= BVD3_EPS"),
     (BVD, "m_weno = _prev(np.minimum(ww, tw))", "m_weno = _prev(np.minimum(ww, wt))"),
     (BVD, "tbv_weno = _prev(np.abs(ww, out=ww)) + ww", "tbv_weno = np.abs(ww, out=ww)"),
@@ -51,15 +51,15 @@ MUTANTS = (
     (BVD, "ww = candidates.weno_right - _next(candidates.weno_left)",
      "ww = candidates.weno_right - candidates.weno_left"),
     (RECONSTRUCT, "_THINC_EXP_CAP = 25.0", "_THINC_EXP_CAP = 20.0"),
-    (RECONSTRUCT, "np.where(denom > 0.0, denom, scaled)", "np.where(denom >= 0.0, denom, scaled)"),
-    (RECONSTRUCT, "admissible &= rise > 0.0", "admissible &= rise >= 0.0"),
+    (RECONSTRUCT, "np.where(denom > _ZERO, denom, scaled)", "np.where(denom >= _ZERO, denom, scaled)"),
+    (RECONSTRUCT, "admissible &= rise > _ZERO", "admissible &= rise >= _ZERO"),
     (RECONSTRUCT, "    b1 += curv[1 : 1 + m]\n", ""),
     (RECONSTRUCT, "    right += tb\n", ""),
     (RECONSTRUCT, "b0 = at(line, -2) - at(four, -1)", "b0 = at(four, -1) - at(line, -2)"),
     (RECONSTRUCT, "np.subtract(at(two, -2), v0, out=v0)", "np.subtract(v0, at(two, -2), out=v0)"),
     (RECONSTRUCT, "position = values - qmin", "position = qmin - values"),
     (RECONSTRUCT, "theta = qp - qm", "theta = qm - qp"),
-    (RECONSTRUCT, "a = scaled - 1.0", "a = 1.0 - scaled"),
+    (RECONSTRUCT, "a = scaled - _ONE", "a = _ONE - scaled"),
     (RECONSTRUCT, "rise = qp - values", "rise = values - qp"),
     (EXPERIMENTS, "np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))",
      "np.where(values < 0.1, -1, np.where(values > 0.9, 1, 0))"),
