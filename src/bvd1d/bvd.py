@@ -8,10 +8,9 @@ jump, shrinking it where a discontinuity lives removes most of the smearing
 while leaving smooth regions to the high-order polynomial.
 
 Face indexing convention: face j is x_{j+1/2}, sitting between cell j and
-cell (j+1) % n. All per-face arrays use this layout. A cell's neighbours
-across faces j-1 and j are read from the ghost-cell layout: _prev and _next
-gather a per-cell array and one wrap-around cell on each side into a new
-array, through field.periodic_pad's cached index, and return a slice of it.
+cell (j+1) % n. All per-face arrays use this layout. A cell's neighbour
+across face j-1 or j is one gather through a cached index,
+x[field.shift_index(n, -1)] or x[field.shift_index(n, 1)], into a new array.
 bvd1 and bvd2 read the BV from _face_jumps, and bvd4 evaluates its WW and TT
 jumps the same way: each face's signed jump is evaluated once per candidate
 pair and read by both cells it separates.
@@ -23,22 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import periodic_pad, read_only
-from .reconstruct import (
-    ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
-)
+from .field import periodic_pad, read_only, shift_index
+from .reconstruct import ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field
 
 # Guard used by the smoothness indicator and the blend-weight denominator; like
 # the selectors' other constant operands, a read-only 0-d array (see reconstruct).
 BVD3_EPS = read_only(1e-16)
 _ZERO, _ONE = map(read_only, (0.0, 1.0))
-
-# Enumeration order for candidate combinations at a face; ties keep the
-# earliest entry, so the polynomial candidate wins any exact tie.
-_FACE_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# Whether combination k takes THINC for the face's own / neighbour cell.
-_COMBO_OWN = np.array([xi for xi, _ in _FACE_COMBOS], dtype=bool)
-_COMBO_NBR = np.array([eta for _, eta in _FACE_COMBOS], dtype=bool)
 
 
 @dataclass
@@ -82,34 +72,24 @@ class SelectionResult:
         return int(np.count_nonzero(self.omega))
 
 
-def build_candidates(
-    values: np.ndarray, params: ThincParams, delta: float
-) -> CandidateSet:
+def build_candidates(values: np.ndarray, params: ThincParams, delta: float) -> CandidateSet:
     """Both reconstructions and the admissibility test per cell, from one jump position."""
     wl, wr = weno_z_field(values)
     jump = jump_position(values)
     adm = thinc_admissible_field(jump, delta)
     tl, tr = thinc_field(jump, params)
     weno_only = ~adm
-    np.copyto(tl, wl, where=weno_only)
-    np.copyto(tr, wr, where=weno_only)
+    np.putmask(tl, weno_only, wl)
+    np.putmask(tr, weno_only, wr)
     return CandidateSet(wl, wr, tl, tr, adm)
 
 
-def _prev(x: np.ndarray) -> np.ndarray:
-    """x[(j - 1) % n] per cell j: a slice of x's one-ghost-cell pad (one gather)."""
-    return periodic_pad(x, 1)[:-2]
-
-
-def _next(x: np.ndarray) -> np.ndarray:
-    """x[(j + 1) % n] per cell j: a slice of x's one-ghost-cell pad (one gather)."""
-    return periodic_pad(x, 1)[2:]
-
-
 def _face_jumps(candidates: CandidateSet) -> tuple[np.ndarray, ...]:
-    """New arrays own_right[xi] - next(own_left[eta]) per face j: WW, WT, TW, TT (_FACE_COMBOS)."""
+    """New arrays, per face j, of cell j's right value minus cell j+1's left value
+    for the (own, neighbour) candidate pairs WW, WT, TW, TT (W: WENO, T: THINC)."""
+    nxt = shift_index(candidates.weno_left.shape[0], 1)
     wr, tr = candidates.weno_right, candidates.thinc_right
-    wl, tl = _next(candidates.weno_left), _next(candidates.thinc_left)
+    wl, tl = candidates.weno_left[nxt], candidates.thinc_left[nxt]
     return wr - wl, wr - tl, tr - wl, tr - tl
 
 
@@ -126,18 +106,17 @@ def assemble_interfaces(
     left_of_cell += weno_share * candidates.weno_left
     right_of_cell = omega * candidates.thinc_right
     right_of_cell += weno_share * candidates.weno_right
-    return right_of_cell, _next(left_of_cell)
+    return right_of_cell, left_of_cell[shift_index(omega.shape[0], 1)]
 
 
 def _discrete_result(use_thinc: np.ndarray, candidates: CandidateSet) -> SelectionResult:
     """Result for the either/or selectors, using exact array picks."""
-    face_left = np.where(use_thinc, candidates.thinc_right, candidates.weno_right)
-    cell_left = np.where(use_thinc, candidates.thinc_left, candidates.weno_left)
-    return SelectionResult(
-        omega=use_thinc.astype(float),
-        face_left=face_left,
-        face_right=_next(cell_left),
-    )
+    face_left = candidates.weno_right.copy()
+    np.putmask(face_left, use_thinc, candidates.thinc_right)
+    cell_left = candidates.weno_left.copy()
+    np.putmask(cell_left, use_thinc, candidates.thinc_left)
+    face_right = cell_left[shift_index(use_thinc.shape[0], 1)]
+    return SelectionResult(use_thinc.astype(float), face_left, face_right)
 
 
 def bvd1_select(candidates: CandidateSet) -> SelectionResult:
@@ -149,27 +128,31 @@ def bvd1_select(candidates: CandidateSet) -> SelectionResult:
     nominations: agreement is honored, and a conflict falls back to WENO
     exactly when the two signed minimizing variations have opposite signs.
     """
-    # First minimum in combo order: a later combination must be strictly
-    # smaller. Where a cell's thinc_* slots hold its WENO pair, a combination
-    # using them ties an earlier one bit for bit and so never wins.
-    jumps = _face_jumps(candidates)
-    signed_right = jumps[0]
+    # First minimum in the order WW, WT, TW, TT: a later pair must be strictly
+    # smaller, so the last pair taken wins. Where a cell's thinc_* slots hold its
+    # WENO pair, a pair using them ties an earlier one bit for bit and never wins.
+    signed_right, wt, tw, tt = _face_jumps(candidates)
     magnitude = np.abs(signed_right)
-    best = np.zeros(signed_right.shape, dtype=np.intp)
-    for k, signed_k in enumerate(jumps[1:], start=1):
+    takes = []
+    for signed_k in (wt, tw, tt):
         magnitude_k = np.abs(signed_k)
         take = magnitude_k < magnitude
-        np.copyto(magnitude, magnitude_k, where=take)
-        np.copyto(signed_right, signed_k, where=take)
-        np.copyto(best, k, where=take)
-
-    nominate_from_right = _COMBO_OWN[best]          # for cell j, via face j
-    nominate_from_left = _COMBO_NBR[_prev(best)]    # for cell j, via face j-1
-    signed_left = _prev(signed_right)
-
-    agree = nominate_from_right == nominate_from_left
+        np.putmask(signed_right, take, signed_k)
+        if signed_k is not tt:  # nothing compares against the last magnitude
+            np.putmask(magnitude, take, magnitude_k)
+        takes.append(take)
+    take_wt, take_tw, take_tt = takes
+    # Face j nominates THINC for cell j when TW or TT won there, and for cell
+    # j+1 when TT won, or WT won and no later pair was taken.
+    nominate_own = take_tw | take_tt
+    nominate_neighbour = take_wt & ~nominate_own
+    nominate_neighbour |= take_tt
+    prv = shift_index(signed_right.shape[0], -1)
+    signed_left = signed_right[prv]
+    agree = nominate_own == nominate_neighbour[prv]  # faces j and j-1 nominate alike
     conflict_takes_weno = signed_right * signed_left < _ZERO
-    use_thinc = np.where(agree, nominate_from_right, ~conflict_takes_weno)
+    use_thinc = ~conflict_takes_weno
+    np.putmask(use_thinc, agree, nominate_own)
     return _discrete_result(use_thinc, candidates)
 
 
@@ -180,11 +163,12 @@ def bvd2_select(candidates: CandidateSet) -> SelectionResult:
     is minimized over the four neighbor-candidate combinations; THINC is
     kept only where its minimum beats WENO's strictly. Rounding is monotone,
     so that minimum is the rounded sum of the least |jump| at face j-1, where
-    the cell is the neighbour (read through _prev), and the least at face j.
+    the cell is the neighbour (read at shift -1), and the least at face j.
     """
     ww, wt, tw, tt = (np.abs(jump, out=jump) for jump in _face_jumps(candidates))
-    m_weno = _prev(np.minimum(ww, tw)) + np.minimum(ww, wt)
-    m_thinc = _prev(np.minimum(wt, tt)) + np.minimum(tw, tt)
+    prv = shift_index(ww.shape[0], -1)
+    m_weno = np.minimum(ww, tw)[prv] + np.minimum(ww, wt)
+    m_thinc = np.minimum(wt, tt)[prv] + np.minimum(tw, tt)
     return _discrete_result(m_thinc < m_weno, candidates)
 
 
@@ -207,8 +191,9 @@ def bvd3_select(
         raise ValueError("s_cutoff must be positive")
     # Not _face_jumps: bvd3 reads WENO's jumps only, and d_right is WW's jump
     # with its operands swapped (-WW would make raw -0.0 where it is +0.0).
-    d_left = _prev(candidates.weno_right) - candidates.weno_left
-    d_right = _next(candidates.weno_left) - candidates.weno_right
+    n = averages.shape[0]
+    d_left = candidates.weno_right[shift_index(n, -1)] - candidates.weno_left
+    d_right = candidates.weno_left[shift_index(n, 1)] - candidates.weno_right
     padded = periodic_pad(averages, 1)
     jumps = np.stack((d_left, d_right, averages - padded[:-2], averages - padded[2:]))
     np.square(jumps, out=jumps)
@@ -239,10 +224,11 @@ def bvd4_select(candidates: CandidateSet) -> SelectionResult:
     neighbors contribute their WENO values); THINC wins only strictly. Each
     total is |jump| at face j-1 plus at face j, from the WW or TT face jumps.
     """
-    ww = candidates.weno_right - _next(candidates.weno_left)
-    tt = candidates.thinc_right - _next(candidates.thinc_left)
-    tbv_weno = _prev(np.abs(ww, out=ww)) + ww
-    tbv_thinc = _prev(np.abs(tt, out=tt)) + tt
+    nxt, prv = (shift_index(candidates.weno_left.shape[0], s) for s in (1, -1))
+    ww = candidates.weno_right - candidates.weno_left[nxt]
+    tt = candidates.thinc_right - candidates.thinc_left[nxt]
+    tbv_weno = np.abs(ww, out=ww)[prv] + ww
+    tbv_thinc = np.abs(tt, out=tt)[prv] + tt
     use_thinc = (tbv_thinc < tbv_weno) & candidates.admissible
     return _discrete_result(use_thinc, candidates)
 

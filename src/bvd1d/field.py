@@ -9,6 +9,11 @@ from typing import Callable
 import numpy as np
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, but not a bool (True would count as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1D grid of non-overlapping cells with periodic topology.
@@ -21,7 +26,7 @@ class Grid1D:
     x_right: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_cells, (int, np.integer)) and self.n_cells >= 1):
+        if not (_is_integer(self.n_cells) and self.n_cells >= 1):
             raise ValueError(f"n_cells must be a positive integer, got {self.n_cells!r}")
         if not (np.isfinite(self.x_left) and np.isfinite(self.x_right)):
             raise ValueError("grid bounds must be finite")
@@ -73,9 +78,18 @@ def read_only(value) -> np.ndarray:
 @functools.lru_cache(maxsize=None, typed=True)
 def _ghost_index(n: int, width: int) -> np.ndarray:
     """periodic_pad's gather index, made once per (n, width): entry k is (k - width) % n."""
-    if not (isinstance(width, (int, np.integer)) and width >= 0):
+    if not (_is_integer(width) and width >= 0):
         raise ValueError(f"width must be a non-negative integer, got {width!r}")
     return read_only(np.arange(-width, n + width) % n)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def shift_index(n: int, shift: int) -> np.ndarray:
+    """Gather index of each cell's neighbour `shift` places on, made once per (n, shift):
+    entry j is (j + shift) % n, so x[shift_index(n, -1)] reads cell j - 1 at position j."""
+    if not _is_integer(shift):
+        raise ValueError(f"shift must be an integer, got {shift!r}")
+    return read_only((np.arange(n) + shift) % n)
 
 
 def periodic_pad(values: np.ndarray, width: int) -> np.ndarray:

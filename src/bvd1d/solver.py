@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bvd import SELECTORS, SelectionResult, build_candidates, bvd3_select
-from .field import CellField, periodic_pad, read_only
+from .field import CellField, read_only, shift_index
 from .reconstruct import ThincParams, weno_z_field
 
 SCHEMES = ("wenoz", *SELECTORS)
@@ -28,6 +28,8 @@ class FluxSpec:
     speed: float = 1.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.speed):
+            raise ValueError(f"speed must be finite, got {self.speed!r}")
         # riemann_flux's operands speed and 0.5 * |speed|, as read-only 0-d arrays
         object.__setattr__(self, "speed_array", read_only(self.speed))
         object.__setattr__(self, "half_wave_speed", read_only(0.5 * self.wave_speed))
@@ -123,7 +125,7 @@ def select(values: np.ndarray, scheme: SchemeConfig) -> SelectionResult:
     if scheme.scheme == "wenoz":
         left_of_cell, right_of_cell = weno_z_field(values)
         return SelectionResult(
-            np.zeros(values.shape[0]), right_of_cell, periodic_pad(left_of_cell, 1)[2:]
+            np.zeros(values.shape[0]), right_of_cell, left_of_cell[shift_index(values.shape[0], 1)]
         )
     candidates = build_candidates(values, scheme.thinc_params, scheme.delta)
     if scheme.scheme == "bvd3":
@@ -136,7 +138,7 @@ def _rhs(
 ) -> tuple[np.ndarray, SelectionResult]:
     sel = select(values, scheme)
     face_flux = riemann_flux(sel.face_left, sel.face_right, flux)
-    flux_in = periodic_pad(face_flux, 1)[:-2]  # face j-1, the cell's left face
+    flux_in = face_flux[shift_index(values.shape[0], -1)]  # face j-1, the cell's left face
     dqdt = face_flux - flux_in
     np.negative(dqdt, out=dqdt)
     dqdt /= dx
@@ -210,7 +212,7 @@ def advect(
             values, np.array(step_dt), dx, scheme, flux
         )
         clamped += n_cl
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise BlowupError(
                 f"non-finite solution after step {step + 1}/{n_steps} "
                 f"(t = {min((step + 1) * dt, time.t_end):.6g}, scheme = {scheme.scheme})"

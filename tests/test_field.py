@@ -27,7 +27,8 @@ class TestGrid1D:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(n_cells=0), dict(n_cells=4, x_left=1.0, x_right=0.0),
-         dict(n_cells=4, x_left=np.nan, x_right=1.0), dict(n_cells=2.5), dict(n_cells=np.nan)],
+         dict(n_cells=4, x_left=np.nan, x_right=1.0), dict(n_cells=2.5), dict(n_cells=np.nan),
+         dict(n_cells=True), dict(n_cells=np.bool_(True))],
     )
     def test_invalid_grid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -102,6 +103,11 @@ class TestPeriodicPad:
         with pytest.raises(ValueError, match="width"):
             periodic_pad(np.arange(4.0), width)
 
+    @pytest.mark.parametrize("width", [True, False, np.bool_(True)])
+    def test_bool_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            periodic_pad(np.arange(4.0), width)
+
     def test_numpy_integer_width_accepted(self):
         assert periodic_pad(np.arange(4.0), np.int64(1)).tolist() == [3.0, 0.0, 1.0, 2.0, 3.0, 0.0]
 
@@ -119,6 +125,27 @@ class TestPeriodicPad:
         assert values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert periodic_pad(values, 2).tolist() == [3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0]
         assert field._ghost_index(5, 2).tolist() == [3, 4, 0, 1, 2, 3, 4, 0, 1]
+
+
+class TestShiftIndex:
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_gathers_the_padded_neighbour(self, n, shift):
+        values = np.arange(n) * 1.5 - 2.0
+        padded = periodic_pad(values, 1)
+        neighbours = values[field.shift_index(n, shift)]
+        assert neighbours.tobytes() == padded[1 + shift : 1 + shift + n].tobytes()
+
+    def test_cached_index_is_read_only(self):
+        index = field.shift_index(6, -1)
+        assert index.tolist() == [5, 0, 1, 2, 3, 4]
+        assert not index.flags.writeable
+        assert field.shift_index(6, -1) is index
+
+    @pytest.mark.parametrize("shift", [True, np.bool_(False), 1.0, "1", None])
+    def test_bool_or_non_integer_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="shift"):
+            field.shift_index(4, shift)
 
 
 class TestProjectInitial:

@@ -210,6 +210,15 @@ class TestAdmissibility:
     def test_flat_neighbors_rejected(self):
         assert not admissible_cell(1.0, 1.0, 1.0, delta=1e-4)
 
+    def test_cell_equal_to_one_neighbour_never_admissible(self):
+        # Cell 1 sits at C = (0 + 1e-20) / (1e-17 + 1e-20), about 9.99e-4, inside
+        # (delta, 1 - delta) however small the other spread; it equals its left
+        # neighbour, so the data are not strictly monotone there.
+        values = np.array([0.0, 0.0, 1e-17, 1.0, 2.0])
+        jump = jump_position(values)
+        assert 1e-4 < jump[-1][1] < 1.0 - 1e-4
+        assert not thinc_admissible_field(jump, delta=1e-4)[1]
+
     def test_field_mask_matches_scalar(self):
         rng = np.random.RandomState(6)
         values = rng.uniform(-1.0, 1.0, 11)

@@ -56,6 +56,11 @@ class TestRiemannFlux:
         out = riemann_flux(np.array([1.0, 0.0]), np.array([0.0, 1.0]), spec)
         assert out.tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("speed", [np.nan, np.inf, -np.inf])
+    def test_non_finite_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="speed must be finite"):
+            FluxSpec(speed=speed)
+
 
 def zigzag_fields():
     """offset + (-1)^i (1 + m_i) on an even number of cells: every cell is an extremum."""

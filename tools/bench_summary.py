@@ -1,6 +1,7 @@
 """Summarise paired benchmark runs of a parent and a change checkout as one JSON file.
 
-    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json
+    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR --out BENCH_<n>.json \
+        [--stage-us STAGE_US.json]
 
 Each directory is a checkout whose perfbench/out/ holds the result files of
 `perfbench/run.py`, one per workload, seed and --trace level. A --trace 0 run
@@ -10,9 +11,11 @@ records both medians and IQRs over the runs' reported values, and in how many
 pairs the change was better. Under "per_layer" it records, for each per-layer
 metric, the parent's and the change's median over their --trace 1 runs of
 that workload. Under "calls_per_stage" it records each checkout's numpy
-calls, slicings, elements written and calls with a float operand per RK
-stage, per scheme and per N of tools/count_calls.py, which runs in a
-subprocess on the checkout's src/.
+calls, slicings, elements written, calls with a float operand and masked
+copyto calls per RK stage, per scheme and per N of tools/count_calls.py,
+which runs in a subprocess on the checkout's src/. With --stage-us, the
+output of tools/stage_us.py on the same two checkouts (each scheme's stage
+time, before and after, per N) goes in under "stage_us".
 The provenance adds what the result files leave out: numpy's
 kernel dispatch for exp and power, and the OpenBLAS core. Nothing in bvd1d
 imports this script.
@@ -133,6 +136,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("parent", type=Path, help="parent checkout")
     parser.add_argument("change", type=Path, help="change checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("--stage-us", type=Path, help="tools/stage_us.py output to fold in")
     args = parser.parse_args(argv)
 
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
@@ -157,6 +161,8 @@ def main(argv: list[str] | None = None) -> None:
                             "change": stage_call_counts(args.change)},
         "workloads": workloads,
     }
+    if args.stage_us is not None:
+        summary["stage_us"] = json.loads(args.stage_us.read_text(encoding="utf-8"))
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
 
 

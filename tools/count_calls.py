@@ -14,19 +14,26 @@ stage looks the layers up by, as perfbench/tracing.py wraps them, plus bvd's
 jump_position. A ufunc call (__array_ufunc__, reductions such as .sum()
 included) or a numpy function call (__array_function__) that receives a
 counted array counts once, at the outermost level only: the ufuncs np.stack
-runs inside itself do not count. Slicing and indexing (__getitem__) are
-counted separately.
+runs inside itself do not count. The copy method of a counted array counts
+as a call too, like np.copy. Slicing and indexing (__getitem__) are counted
+separately. A buffer a kernel allocates must come from a counted array
+(np.empty_like(two, shape=(6, m)), not np.empty), or the calls on it go
+unseen.
 
-Three more tallies ride along:
+Four more tallies ride along:
 - elements: the size of every array a counted call returns or writes (out=
-  and np.copyto's destination included), plus the size of every copy an
-  indexing makes (a gather such as field.periodic_pad's). Views write
-  nothing. At N = 2000 a stage's cost grows with this count, where the call
-  count is blind.
+  and the destination of np.copyto and np.putmask included), plus the size
+  of every copy an indexing makes (a gather such as field.shift_index's).
+  Views and np.empty_like's uninitialised buffers write nothing. At N = 2000
+  a stage's cost grows with this count, where the call count is blind.
 - float operands: the counted calls that receive a Python float (or a numpy
   float scalar) as an argument. numpy 2 converts such an operand again on
   every call (NEP 50); the stage path passes read-only 0-d float64 arrays
   instead, so this reads 0.
+- masked copies: the counted np.copyto calls with a where= mask, which cost
+  more than np.putmask's same copy (0.54 against 0.40 us at N = 50 and 5.1
+  against 2.35 us at N = 2000, numpy 2.4.6 on a 2-core Xeon). The stage path
+  uses np.putmask, so this reads 0.
 
 Caveats:
 - It counts and never times. The subclass changes numpy's dispatch, so a
@@ -71,6 +78,7 @@ class Tally(NamedTuple):
     slicings: int
     elements: int
     float_operands: int
+    masked_copies: int
 
     def __sub__(self, other):
         return Tally(*(a - b for a, b in zip(self, other)))
@@ -86,6 +94,7 @@ class Counted(np.ndarray):
     slicings = 0
     elements = 0
     float_operands = 0
+    masked_copies = 0
     depth = 0  # > 0 while numpy runs a counted call, whose inner calls do not count
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
@@ -98,10 +107,18 @@ class Counted(np.ndarray):
 
     def __array_function__(self, func, types, args, kwargs):
         operands = (*args, *kwargs.values())
+        outer = Counted.depth == 0
         result = _counted_call(super().__array_function__, operands, func, types, args, kwargs)
-        if func is np.copyto and Counted.depth == 0:
+        if outer and func in (np.copyto, np.putmask):
             Counted.elements += args[0].size  # writes into its destination, returns None
+            where = args[3] if len(args) > 3 else kwargs.get("where", True)
+            Counted.masked_copies += func is np.copyto and where is not True
+        elif outer and func is np.empty_like:
+            Counted.elements -= result.size  # allocated, not written
         return _wrap(result)
+
+    def copy(self, *args, **kwargs):
+        return _wrap(_counted_call(_plain(self).copy, (), *args, **kwargs))
 
     def __getitem__(self, key):
         # counted once it succeeds: tuple unpacking probes one index past the end
@@ -114,11 +131,11 @@ class Counted(np.ndarray):
 
     @classmethod
     def tally(cls) -> Tally:
-        return Tally(cls.calls, cls.slicings, cls.elements, cls.float_operands)
+        return Tally(cls.calls, cls.slicings, cls.elements, cls.float_operands, cls.masked_copies)
 
     @classmethod
     def reset(cls) -> None:
-        cls.calls = cls.slicings = cls.elements = cls.float_operands = 0
+        cls.calls = cls.slicings = cls.elements = cls.float_operands = cls.masked_copies = 0
 
 
 def _counted_call(fn, operands, *args, **kwargs):
@@ -161,7 +178,7 @@ def counting_layers(tally: dict[str, Tally]):
                 return fn(*args, **kwargs)
             finally:
                 spent = Counted.tally() - before
-                tally[fn.__name__] = tally.get(fn.__name__, Tally(0, 0, 0, 0)) + spent
+                tally[fn.__name__] = tally.get(fn.__name__, Tally(0, 0, 0, 0, 0)) + spent
         return wrapper
 
     saved = [(ns, key, ns[key]) for ns, key in LAYER_POINTS]
@@ -193,14 +210,15 @@ def _cell(count: Tally | None) -> str:
 
 def main() -> None:
     counts = {(scheme, n): stage_counts(scheme, n) for scheme in solver.SCHEMES for n in SIZES}
-    print(f"numpy {np.__version__}: numpy calls (+ slicings), elements written and calls with "
-          "a float operand, per RK stage")
-    print(f"{'scheme':<8}" + "".join(f"{f'N = {n}':>28}" for n in SIZES) + f"{'float':>7}")
+    print(f"numpy {np.__version__}: numpy calls (+ slicings), elements written, calls with "
+          "a float operand and masked copyto calls, per RK stage")
+    print(f"{'scheme':<8}" + "".join(f"{f'N = {n}':>28}" for n in SIZES)
+          + f"{'float':>7}{'masked':>8}")
     for scheme in solver.SCHEMES:
         totals = [counts[scheme, n][0] for n in SIZES]
         cells = (f"{_cell(t)} {t.elements:>10,}" for t in totals)
         print(f"{scheme:<8}" + "".join(f"{c:>28}" for c in cells)
-              + f"{totals[0].float_operands:>7}")
+              + f"{totals[0].float_operands:>7}{totals[0].masked_copies:>8}")
     for n in SIZES:
         print(f"\nN = {n}: inclusive numpy calls (+ slicings) per layer in one RK stage")
         print(f"{'layer':<24}" + "".join(f"{scheme:>12}" for scheme in solver.SCHEMES))

@@ -45,18 +45,19 @@ MUTANTS = (
     (BVD, "/ np.maximum(tbv_weno, BVD3_EPS)", "/ (tbv_weno + BVD3_EPS)"),
     (BVD, "blend & ((raw < _ZERO) | (raw > _ONE))", "blend & (raw < _ZERO)"),
     (BVD, "degenerate = denom < BVD3_EPS", "degenerate = denom <= BVD3_EPS"),
-    (BVD, "m_weno = _prev(np.minimum(ww, tw))", "m_weno = _prev(np.minimum(ww, wt))"),
-    (BVD, "tbv_weno = _prev(np.abs(ww, out=ww)) + ww", "tbv_weno = np.abs(ww, out=ww)"),
-    (BVD, "wl, tl = _next(candidates.weno_left),", "wl, tl = candidates.weno_left,"),
-    (BVD, "ww = candidates.weno_right - _next(candidates.weno_left)",
+    (BVD, "m_weno = np.minimum(ww, tw)[prv]", "m_weno = np.minimum(ww, wt)[prv]"),
+    (BVD, "tbv_weno = np.abs(ww, out=ww)[prv] + ww", "tbv_weno = np.abs(ww, out=ww)"),
+    (BVD, "wl, tl = candidates.weno_left[nxt],", "wl, tl = candidates.weno_left,"),
+    (BVD, "ww = candidates.weno_right - candidates.weno_left[nxt]",
      "ww = candidates.weno_right - candidates.weno_left"),
     (RECONSTRUCT, "_THINC_EXP_CAP = 25.0", "_THINC_EXP_CAP = 20.0"),
     (RECONSTRUCT, "np.where(denom > _ZERO, denom, scaled)", "np.where(denom >= _ZERO, denom, scaled)"),
     (RECONSTRUCT, "admissible &= rise > _ZERO", "admissible &= rise >= _ZERO"),
     (RECONSTRUCT, "    b1 += curv[1 : 1 + m]\n", ""),
     (RECONSTRUCT, "    right += tb\n", ""),
-    (RECONSTRUCT, "b0 = at(line, -2) - at(four, -1)", "b0 = at(four, -1) - at(line, -2)"),
-    (RECONSTRUCT, "np.subtract(at(two, -2), v0, out=v0)", "np.subtract(v0, at(two, -2), out=v0)"),
+    (RECONSTRUCT, "np.subtract(qm2, four[1 : 1 + m], out=b0)",
+     "np.subtract(four[1 : 1 + m], qm2, out=b0)"),
+    (RECONSTRUCT, "np.subtract(two[:m], v0, out=v0)", "np.subtract(v0, two[:m], out=v0)"),
     (RECONSTRUCT, "position = values - qmin", "position = qmin - values"),
     (RECONSTRUCT, "theta = qp - qm", "theta = qm - qp"),
     (RECONSTRUCT, "a = scaled - _ONE", "a = _ONE - scaled"),
