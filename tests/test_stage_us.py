@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
-def stage_us():
+def stage_us(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
     spec = importlib.util.spec_from_file_location("stage_us", ROOT / "tools" / "stage_us.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -22,7 +23,8 @@ def stage_us():
 
 def test_child_times_every_cell(stage_us, monkeypatch):
     monkeypatch.setattr(stage_us, "STEPS", {12: 1})
-    best = stage_us.run_side(ROOT, rounds=2)
+    monkeypatch.setattr(stage_us, "ROUNDS", 2)
+    best = stage_us.run_side(ROOT)
     assert set(best) == set(stage_us.SCHEMES)
     assert all(set(cells) == {"12"} and cells["12"] > 0.0 for cells in best.values())
 
@@ -32,10 +34,9 @@ def test_summary_counts_wins_and_takes_medians(stage_us, monkeypatch):
     monkeypatch.setattr(stage_us, "SCHEMES", ("bvd1",))
     pairs = [({"bvd1": {"50": before}}, {"bvd1": {"50": after}})
              for before, after in ((10.0, 9.0), (12.0, 8.0), (11.0, 11.5))]
-    summary = stage_us.summarise(pairs, rounds=60)
+    summary = stage_us.summarise(pairs)
     cell = summary["schemes"]["bvd1"]["50"]
-    assert summary["pairs"] == 3
-    assert cell["parent"] == {"median": 11.0, "iqr": 1.0}
-    assert cell["change"] == {"median": 9.0, "iqr": 1.75}
-    assert cell["change_wins"] == 2
+    assert cell["parent"] == {"median": 11.0, "q1": 10.5, "q3": 11.5, "iqr": 1.0}
+    assert cell["change"] == {"median": 9.0, "q1": 8.5, "q3": 10.25, "iqr": 1.75}
+    assert cell["change_wins"] == 2 and cell["pairs"] == 3
     assert "60 times" in summary["method"] and "3 process pairs" in summary["method"]

@@ -59,6 +59,13 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def paired(before: list[float], after: list[float], lower: bool = True) -> dict:
+    """Both sides' quartiles over paired runs, and in how many pairs the change was better."""
+    wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+    return {"parent": quartiles(before), "change": quartiles(after),
+            "change_wins": wins, "pairs": len(before)}
+
+
 def stage_call_counts(checkout: Path) -> dict[str, dict[str, dict[str, int]]]:
     """{scheme: {N: count_calls.Tally as a dict}} of one RK stage of the checkout's bvd1d."""
     paths = [str(checkout.resolve() / "src"), str(Path(__file__).resolve().parent)]
@@ -102,15 +109,8 @@ def summarise(parent: dict, change: dict, metrics: list[dict]) -> dict:
             name, lower = metric["name"], metric["better"] == "lower"
             before = [p["metrics"][name]["value"] for p, _ in pairs]
             after = [c["metrics"][name]["value"] for _, c in pairs]
-            wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
-            entry[name] = {
-                "unit": metric["unit"],
-                "better": metric["better"],
-                "parent": quartiles(before),
-                "change": quartiles(after),
-                "change_wins": wins,
-                "pairs": len(pairs),
-            }
+            entry[name] = {"unit": metric["unit"], "better": metric["better"]} | paired(
+                before, after, lower)
         out[workload] = entry
     return out
 

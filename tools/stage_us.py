@@ -7,12 +7,13 @@ Usage (from the repository root):
 Each process imports bvd1d from one checkout's src/ and times bvd1d.advect
 on the complex-wave profile at CFL 0.2 over a fixed number of steps per N
 (STEPS), for every scheme: wall time / (3 * steps) is the time of one RK
-stage. A process visits the (scheme, N) cells round-robin --rounds times and
+stage. A process visits the (scheme, N) cells round-robin ROUNDS times and
 keeps each cell's minimum, so a slow phase of the host costs one sample of
 every cell, not all samples of one. A pair is one parent process and one
 change process, run back to back; the side that runs first alternates from
-pair to pair. The output records, per scheme and N, both sides' medians and
-IQRs over the pairs and in how many pairs the change was faster.
+pair to pair; PAIRS pairs run. The output records, per scheme and N, both
+sides' quartiles over the pairs and in how many pairs the change was faster
+(tools/bench_summary.py's `paired`).
 tools/bench_summary.py --stage-us folds this file into BENCH_<n>.json.
 Nothing in bvd1d imports this script.
 """
@@ -26,9 +27,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
+from bench_summary import paired
 
 STEPS = {50: 30, 200: 20, 2000: 6}
+PAIRS = 10
+ROUNDS = 60
 SCHEMES = ("wenoz", "bvd1", "bvd2", "bvd3", "bvd4")
 CHILD = """
 import json, sys, time
@@ -54,36 +57,30 @@ print(json.dumps(best))
 """
 
 
-def run_side(checkout: Path, rounds: int) -> dict[str, dict[str, float]]:
+def run_side(checkout: Path) -> dict[str, dict[str, float]]:
     """{scheme: {N: minimum stage us}} of one process on the checkout's src/."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    arg = json.dumps([STEPS, SCHEMES, rounds])
+    arg = json.dumps([STEPS, SCHEMES, ROUNDS])
     proc = subprocess.run([sys.executable, "-c", CHILD, arg], env=env, check=True,
                           capture_output=True, text=True)
     return json.loads(proc.stdout)
 
 
-def summarise(pairs: list[tuple[dict, dict]], rounds: int) -> dict:
+def summarise(pairs: list[tuple[dict, dict]]) -> dict:
     schemes = {}
     for scheme in SCHEMES:
         for n in map(str, STEPS):
             before = [p[scheme][n] for p, _ in pairs]
             after = [c[scheme][n] for _, c in pairs]
-            entry = {}
-            for side, values in (("parent", before), ("change", after)):
-                q1, median, q3 = np.percentile(values, [25, 50, 75])
-                entry[side] = {"median": round(float(median), 2), "iqr": round(float(q3 - q1), 2)}
-            entry["change_wins"] = sum(a < b for b, a in zip(before, after))
-            schemes.setdefault(scheme, {})[n] = entry
+            schemes.setdefault(scheme, {})[n] = paired(before, after)
     steps = "/".join(map(str, STEPS.values()))
     sizes = "/".join(map(str, STEPS))
     return {
         "method": (f"bvd1d.advect on complex_waves, CFL 0.2, {steps} steps at N = {sizes}, "
                    f"wall / (3 * steps) in us; each process visits the {len(SCHEMES) * len(STEPS)} "
-                   f"(scheme, N) cells round-robin {rounds} times and keeps each cell's minimum; "
+                   f"(scheme, N) cells round-robin {ROUNDS} times and keeps each cell's minimum; "
                    f"{len(pairs)} process pairs, alternating which side runs first; "
-                   "medians and IQRs over the pairs"),
-        "pairs": len(pairs),
+                   "quartiles over the pairs"),
         "schemes": schemes,
     }
 
@@ -92,20 +89,16 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="parent checkout")
     parser.add_argument("change", type=Path, help="change checkout")
-    parser.add_argument("--pairs", type=int, default=10, help="process pairs (default 10)")
-    parser.add_argument("--rounds", type=int, default=60, help="samples per cell and process")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.rounds < 1:
-        parser.error("--pairs and --rounds must be positive")
 
     pairs = []
-    for index in range(args.pairs):
+    for index in range(PAIRS):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        sides = {side: run_side(getattr(args, side), args.rounds) for side in order}
+        sides = {side: run_side(getattr(args, side)) for side in order}
         pairs.append((sides["parent"], sides["change"]))
-        print(f"pair {index + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    summary = summarise(pairs, args.rounds)
+        print(f"pair {index + 1}/{PAIRS} done", file=sys.stderr, flush=True)
+    summary = summarise(pairs)
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
 
 
