@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import periodic_pad, read_only, shift_index
+from .field import read_only, shift_index
 from .reconstruct import ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field
 
 # Guard used by the smoothness indicator and the blend-weight denominator; like
@@ -191,11 +191,10 @@ def bvd3_select(
         raise ValueError("s_cutoff must be positive")
     # Not _face_jumps: bvd3 reads WENO's jumps only, and d_right is WW's jump
     # with its operands swapped (-WW would make raw -0.0 where it is +0.0).
-    n = averages.shape[0]
-    d_left = candidates.weno_right[shift_index(n, -1)] - candidates.weno_left
-    d_right = candidates.weno_left[shift_index(n, 1)] - candidates.weno_right
-    padded = periodic_pad(averages, 1)
-    jumps = np.stack((d_left, d_right, averages - padded[:-2], averages - padded[2:]))
+    prv, nxt = (shift_index(averages.shape[0], s) for s in (-1, 1))
+    d_left = candidates.weno_right[prv] - candidates.weno_left
+    d_right = candidates.weno_left[nxt] - candidates.weno_right
+    jumps = np.stack((d_left, d_right, averages - averages[prv], averages - averages[nxt]))
     np.square(jumps, out=jumps)
     d4_left, d4_right, dq4_left, dq4_right = np.square(jumps, out=jumps)
     tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)

@@ -1,4 +1,4 @@
-"""Command-line harness: single runs, figure reproduction, convergence, sweeps."""
+"""Command-line harness: single runs, convergence, sweeps over the figure configurations."""
 
 from __future__ import annotations
 
@@ -67,7 +67,6 @@ def _subcommands() -> dict:
                         help="initial profile")
     return {
         "run": (_cmd_run, [grid, timing, scheme]),
-        "reproduce": (_cmd_reproduce, [grid, timing]),
         "convergence": (_cmd_convergence, [timing, scheme]),
         "sweep": (_cmd_sweep, [grid, timing]),
     }
@@ -80,8 +79,6 @@ def _build_parser() -> _Parser:
         command = sub.add_parser(name, parents=groups, help=handler.__doc__)
         command.add_argument("--config", help="key = value lines setting these flags; flags win")
         command.set_defaults(handler=handler)
-    sub.choices["reproduce"].add_argument("--figure", type=int, choices=FIGURE_SCHEMES,
-                                          required=True, help="figure number")
     return parser
 
 
@@ -158,15 +155,6 @@ def _cmd_run(config: Namespace) -> int:
     result = _run_with_outputs(config, config.scheme_config, config.profile, stem)
     print(_TABLE_HEADER)
     print(_summary_row(config.scheme, config.n_cells, result))
-    return 0
-
-
-def _cmd_reproduce(config: Namespace) -> int:
-    """rerun a numbered figure setup"""
-    scheme = FIGURE_SCHEMES[config.figure]
-    result = _run_with_outputs(config, scheme, "complex_waves", f"figure{config.figure}")
-    print(_TABLE_HEADER)
-    print(_summary_row(f"fig{config.figure}:{scheme.scheme}", config.n_cells, result))
     return 0
 
 

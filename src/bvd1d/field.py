@@ -1,4 +1,4 @@
-"""Uniform periodic 1D finite-volume grid and cell-averaged fields."""
+"""Uniform periodic 1D finite-volume grid, cell-averaged fields, periodic-neighbour gathers."""
 
 from __future__ import annotations
 
@@ -76,32 +76,12 @@ def read_only(value) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _ghost_index(n: int, width: int) -> np.ndarray:
-    """periodic_pad's gather index, made once per (n, width): entry k is (k - width) % n."""
-    if not (_is_integer(width) and width >= 0):
-        raise ValueError(f"width must be a non-negative integer, got {width!r}")
-    return read_only(np.arange(-width, n + width) % n)
-
-
-@functools.lru_cache(maxsize=None, typed=True)
 def shift_index(n: int, shift: int) -> np.ndarray:
     """Gather index of each cell's neighbour `shift` places on, made once per (n, shift):
     entry j is (j + shift) % n, so x[shift_index(n, -1)] reads cell j - 1 at position j."""
     if not _is_integer(shift):
         raise ValueError(f"shift must be an integer, got {shift!r}")
     return read_only((np.arange(n) + shift) % n)
-
-
-def periodic_pad(values: np.ndarray, width: int) -> np.ndarray:
-    """Ghost-cell layout: `values` with `width` wrap-around cells on each side.
-
-    Entry k of the result is cell (k - width) % n, so for a padded array g
-    the slice g[width + s : width + s + n] reads cell (i + s) % n at position
-    i, as a view, for any shift |s| <= width; a width above n wraps round the
-    grid more than once. Returns a new array, one gather through a cached
-    index.
-    """
-    return values[_ghost_index(values.shape[0], width)]
 
 
 def project_initial(grid: Grid1D, profile: Callable[[np.ndarray], np.ndarray]) -> CellField:

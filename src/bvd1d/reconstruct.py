@@ -4,17 +4,17 @@ Both reconstructions map cell averages to a pair of boundary values per
 cell: the value the in-cell profile takes at the cell's left face x_{i-1/2}
 and at its right face x_{i+1/2}.
 
-Periodic neighbours come from the ghost-cell layout (LeVeque, Finite Volume
-Methods for Hyperbolic Problems, 2002, ch. 7): one gather through a cached
-index builds a new array, jump_position's one-ghost-cell pad or WENO-Z's
-mirrored two-ghost-cell line, and every neighbour operand is a slice view of
-it. THINC and its admissibility test read one jump position: one evaluation
-per stage, in bvd.build_candidates.
+Every periodic neighbour is a gather through a cached cell-to-neighbour index,
+the layout that carries over to unstructured grids. jump_position gathers
+through field.shift_index; WENO-Z gathers its mirrored two-ghost-cell line
+(LeVeque, Finite Volume Methods for Hyperbolic Problems, 2002, ch. 7) and
+slices its stencil operands from it as views. THINC and its admissibility
+test read one jump position, evaluated once per stage in bvd.build_candidates.
 
 WENO-Z's left face is its right-face formula read on the reversed stencil
 (the mirror symmetry of the upwind-biased stencil; Jiang & Shu, JCP 126,
 1996; Borges et al., JCP 227, 2008). So weno_z_field evaluates that formula
-once, over the padded field followed by its own reverse: the first half
+once, over the ghost-cell line followed by its own reverse: the first half
 yields the right faces, the reversed second half the left faces, and the
 four stencils that straddle the seam between the halves are discarded.
 Its beta_0..beta_2 and sub-stencil values v_0..v_2 are the (3, m) halves of
@@ -43,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .field import periodic_pad, read_only
+from .field import read_only, shift_index
 
 # The kernels' constant operands are read-only 0-d float64 arrays, made once. Under
 # numpy 2 (NEP 50) a Python float operand is converted on every call: at N = 54,
@@ -91,9 +91,9 @@ class ThincParams:
 
 @lru_cache(maxsize=None)
 def _mirrored_index(n: int) -> np.ndarray:
-    """weno_z_field's gather index: concat(p, p[::-1]), p the two-ghost-cell pad of range(n)."""
-    pad = periodic_pad(np.arange(n), 2)
-    return read_only(np.concatenate((pad, pad[::-1])))
+    """weno_z_field's gather index: concat(g, g[::-1]), g the two-ghost-cell line (-2..n+1) % n."""
+    line = np.arange(-2, n + 2) % n
+    return read_only(np.concatenate((line, line[::-1])))
 
 
 def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +105,7 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same formula to the mirrored stencil.
 
     Both faces come from one evaluation of the right-face formula over the
-    mirrored line concat(g, g[::-1]), g the two-ghost-cell pad (one gather):
+    mirrored line concat(g, g[::-1]), g the two-ghost-cell line (one gather):
     position i of the result is cell i's right face, position n+4+k is cell
     n-1-k's left face, and the 4 positions n..n+3, whose stencils straddle
     the seam between the two halves, are computed and ignored. Temporaries
@@ -178,9 +178,9 @@ def _linear_weights(m: int) -> np.ndarray:
 
 
 def jump_position(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """values, neighbour views qm, qp, their min and span, C = (q - qmin + eps) / (span + eps)."""
-    g = periodic_pad(values, 1)
-    qm, qp = g[:-2], g[2:]
+    """values, neighbour copies qm, qp, their min and span, C = (q - qmin + eps) / (span + eps)."""
+    n = values.shape[0]
+    qm, qp = values[shift_index(n, -1)], values[shift_index(n, 1)]
     qmin = np.minimum(qm, qp)
     span = np.maximum(qm, qp)
     span -= qmin

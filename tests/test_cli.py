@@ -25,14 +25,6 @@ class TestParseArgs:
         assert config.periods == 1.0
         assert config.profile == "complex_waves"
 
-    def test_reproduce_figure_one_is_plain_wenoz(self):
-        config = cli.parse_args(["reproduce", "--figure", "1"])
-        assert config.command == "reproduce"
-        assert config.figure == 1
-        assert cli.FIGURE_SCHEMES[1].scheme == "wenoz"
-        assert config.n_cells == 200
-        assert config.periods == 1.0
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -47,13 +39,13 @@ class TestParseArgs:
             ["run", "--beta", "nan"],
             ["run", "--beta", "inf"],
             ["run", "--s-cutoff", "nan"],
-            ["reproduce", "--figure", "9"],
-            ["reproduce"],
+            ["reproduce", "--figure", "2"],
+            ["sweep", "--figure", "2"],
             ["badcommand"],
             ["run", "--seed", "3"],
             ["sweep", "--beta", "4"],
-            ["reproduce", "--figure", "1", "--scheme", "bvd1"],
-            ["reproduce", "--figure", "1", "--profile", "sine"],
+            ["run", "--figure", "1"],
+            ["sweep", "--profile", "sine"],
             ["convergence", "--n", "50"],
             ["convergence", "--gnuplot"],
         ],
@@ -145,23 +137,6 @@ class TestMain:
         second = next((tmp_path / "two").glob("*.csv")).read_bytes()
         assert first == second
 
-    def test_reproduce_writes_figure_csv(self, tmp_path, capsys):
-        code = cli.main(
-            ["reproduce", "--figure", "6", "--n", "60", "--periods", "0.2",
-             "--out", str(tmp_path)]
-        )
-        assert code == 0
-        assert (tmp_path / "figure6.csv").exists()
-        assert "fig6:bvd4" in capsys.readouterr().out
-
-    def test_reproduce_gnuplot_emission(self, tmp_path):
-        code = cli.main(
-            ["reproduce", "--figure", "2", "--n", "60", "--periods", "0.1",
-             "--out", str(tmp_path), "--gnuplot"]
-        )
-        assert code == 0
-        assert (tmp_path / "figure2.gp").exists()
-
     def test_usage_error_returns_one(self, tmp_path):
         assert cli.main(["run", "--cfl", "1.5", "--out", str(tmp_path)]) == 1
 
@@ -205,11 +180,12 @@ class TestMain:
 
     def test_sweep_writes_all_figures(self, tmp_path, capsys):
         code = cli.main(
-            ["sweep", "--n", "60", "--periods", "0.1", "--out", str(tmp_path)]
+            ["sweep", "--n", "60", "--periods", "0.1", "--out", str(tmp_path), "--gnuplot"]
         )
         assert code == 0
         for figure in range(1, 7):
             assert (tmp_path / f"figure{figure}.csv").exists()
+            assert (tmp_path / f"figure{figure}.gp").exists()
         out = capsys.readouterr().out
         assert "wenoz" in out and "bvd4(b=4)" in out
 
@@ -254,7 +230,6 @@ class TestModuleEntry:
     SUBCOMMAND_FLAGS = {
         "run": "--n --out --gnuplot --cfl --periods --config "
                "--scheme --beta --s-cutoff --delta --profile",
-        "reproduce": "--n --out --gnuplot --cfl --periods --config --figure",
         "convergence": "--cfl --periods --config --scheme --beta --s-cutoff --delta --profile",
         "sweep": "--n --out --gnuplot --cfl --periods --config",
     }

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvd1d import field
-from bvd1d.field import CellField, Grid1D, periodic_pad, project_initial
+from bvd1d import field, reconstruct
+from bvd1d.field import CellField, Grid1D, project_initial
 
 from oracles import sine_cell_averages
 
@@ -50,8 +50,9 @@ class TestCellField:
 
 
 def stencil(values, i, h):
-    """q_{i-h}..q_{i+h} of a periodic field, as a slice of its ghost-cell pad."""
-    return periodic_pad(np.asarray(values, dtype=float), h)[i : i + 2 * h + 1]
+    """q_{i-h}..q_{i+h} of a periodic field, one field.shift_index gather per offset."""
+    values = np.asarray(values, dtype=float)
+    return np.array([values[field.shift_index(len(values), s)][i] for s in range(-h, h + 1)])
 
 
 class TestStencil:
@@ -72,69 +73,28 @@ class TestStencil:
                 window = stencil(values, i, h)
                 assert len(window) == 2 * h + 1
                 for k in range(2 * h + 1):
-                    assert window[k] == values[(i - h + k) % 17]
-
-    def test_negative_half_width_rejected(self):
-        with pytest.raises(ValueError):
-            stencil([1.0, 2.0], 0, -1)
-
-
-def concatenated_pad(values, width):
-    """The former periodic_pad: three slices concatenated, or a wrapping take past one wrap."""
-    n = values.shape[0]
-    if width > n:
-        return values.take(np.arange(-width, n + width), mode="wrap")
-    return np.concatenate((values[n - width :], values, values[:width]))
-
-
-class TestPeriodicPad:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
-        st.integers(0, 3 * n))))
-    def test_matches_the_concatenated_pad_bit_for_bit(self, case):
-        values, width = np.array(case[0]), case[1]
-        padded = periodic_pad(values, width)
-        assert padded.dtype == values.dtype
-        assert padded.tobytes() == concatenated_pad(values, width).tobytes()
-
-    @pytest.mark.parametrize("width", [-1, -3, 1.5, 2.0, "1", None])
-    def test_negative_or_non_integer_width_rejected(self, width):
-        with pytest.raises(ValueError, match="width"):
-            periodic_pad(np.arange(4.0), width)
-
-    @pytest.mark.parametrize("width", [True, False, np.bool_(True)])
-    def test_bool_width_rejected(self, width):
-        with pytest.raises(ValueError, match="width"):
-            periodic_pad(np.arange(4.0), width)
-
-    def test_numpy_integer_width_accepted(self):
-        assert periodic_pad(np.arange(4.0), np.int64(1)).tolist() == [3.0, 0.0, 1.0, 2.0, 3.0, 0.0]
-
-    def test_cached_index_is_read_only(self):
-        index = field._ghost_index(6, 2)
-        assert not index.flags.writeable
-        with pytest.raises(ValueError):
-            index[0] = 1
-        assert field._ghost_index(6, 2) is index
-
-    def test_writing_the_result_changes_neither_input_nor_cache(self):
-        values = np.arange(5.0)
-        first = periodic_pad(values, 2)
-        first[:] = -1.0
-        assert values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert periodic_pad(values, 2).tolist() == [3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0]
-        assert field._ghost_index(5, 2).tolist() == [3, 4, 0, 1, 2, 3, 4, 0, 1]
+                    assert window[k] == np.roll(values, h - k)[i] == values[(i - h + k) % 17]
 
 
 class TestShiftIndex:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_gathers_the_padded_neighbour(self, n, shift):
+        """x[shift_index(n, s)] holds what np.roll(x, -s) does: cell (j + s) % n at position j."""
         values = np.arange(n) * 1.5 - 2.0
-        padded = periodic_pad(values, 1)
         neighbours = values[field.shift_index(n, shift)]
-        assert neighbours.tobytes() == padded[1 + shift : 1 + shift + n].tobytes()
+        assert neighbours.tobytes() == np.roll(values, -shift).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(), min_size=n, max_size=n), st.integers(-3 * n, 3 * n))))
+    def test_every_neighbour_gather_matches_np_roll(self, case):
+        """Also on grids narrower than the stencil: shifts past n wrap round more than once."""
+        values, shift = np.array(case[0]), case[1]
+        n = values.shape[0]
+        assert values[field.shift_index(n, shift)].tobytes() == np.roll(values, -shift).tobytes()
+        line = [np.roll(np.arange(n), 2 - k)[0] for k in range(n + 4)]  # cell (k - 2) % n
+        assert reconstruct._mirrored_index(n).tolist() == line + line[::-1]
 
     def test_cached_index_is_read_only(self):
         index = field.shift_index(6, -1)

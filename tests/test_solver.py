@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from bvd1d import bvd, reconstruct
 from bvd1d.bvd import build_candidates
 from bvd1d.experiments import PROFILES, l1_error
-from bvd1d.field import CellField, Grid1D, periodic_pad, project_initial
+from bvd1d.field import CellField, Grid1D, project_initial, shift_index
 from bvd1d.solver import (
     BlowupError,
     FluxSpec,
@@ -106,28 +106,30 @@ class TestSelect:
                 assert np.array_equal(sel.face_right, wenoz.face_right)
 
     def test_one_jump_position_per_bvd_stage(self, monkeypatch):
-        jumps, pads = [], []
+        jumps, gathers = [], []
 
         def counted_jump(values):
             jumps.append(values)
             return jump_position(values)
 
-        def counted_pad(values, width):
-            pads.append(width)
-            return periodic_pad(values, width)
+        def counted_shift_index(n, shift):
+            gathers.append(shift)
+            return shift_index(n, shift)
 
         monkeypatch.setattr(bvd, "jump_position", counted_jump)
-        monkeypatch.setattr(reconstruct, "periodic_pad", counted_pad)
+        monkeypatch.setattr(reconstruct, "shift_index", counted_shift_index)
         values = np.repeat([0.0, 1.0, 0.25, 0.75], 10) + np.linspace(0.0, 0.1, 40)
         for scheme in ALL_SCHEMES[1:]:
             jumps.clear()
             _rhs_values(values, 0.05, SchemeConfig(scheme), FluxSpec())
             assert len(jumps) == 1, scheme
+        gathers.clear()
         jump = jump_position(values)
-        pads.clear()
+        assert gathers == [-1, 1]  # the counter sees jump_position's own two gathers
+        gathers.clear()
         thinc_field(jump, ThincParams())
         thinc_admissible_field(jump, SchemeConfig.delta)
-        assert pads == []
+        assert gathers == []
 
 
 class TestConfigs:

@@ -62,6 +62,8 @@ MUTANTS = (
     (RECONSTRUCT, "theta = qp - qm", "theta = qm - qp"),
     (RECONSTRUCT, "a = scaled - _ONE", "a = _ONE - scaled"),
     (RECONSTRUCT, "rise = qp - values", "rise = values - qp"),
+    (RECONSTRUCT, "qm, qp = values[shift_index(n, -1)]", "qm, qp = values[shift_index(n, 1)]"),
+    (BVD, "averages - averages[prv]", "averages - averages[nxt]"),
     (EXPERIMENTS, "np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))",
      "np.where(values < 0.1, -1, np.where(values > 0.9, 1, 0))"),
     (SOLVER, "time.t_end / dt - 1e-12", "time.t_end / dt - 1e-9"),
