@@ -180,14 +180,21 @@ class TestMain:
 
     def test_sweep_writes_all_figures(self, tmp_path, capsys):
         code = cli.main(
-            ["sweep", "--n", "60", "--periods", "0.1", "--out", str(tmp_path), "--gnuplot"]
+            ["sweep", "--n", "60", "--periods", "0.1", "--out", str(tmp_path)]
         )
         assert code == 0
         for figure in range(1, 7):
             assert (tmp_path / f"figure{figure}.csv").exists()
-            assert (tmp_path / f"figure{figure}.gp").exists()
         out = capsys.readouterr().out
         assert "wenoz" in out and "bvd4(b=4)" in out
+
+    def test_sweep_gnuplot_emission(self, tmp_path):
+        code = cli.main(
+            ["sweep", "--n", "60", "--periods", "0.1", "--out", str(tmp_path), "--gnuplot"]
+        )
+        assert code == 0
+        for figure in range(1, 7):
+            assert (tmp_path / f"figure{figure}.gp").exists()
 
     def test_sweep_finishes_when_jumps_smear_past_the_width_window(self, tmp_path, capsys):
         # 20 periods on 10 cells leave no 10-90 % transition near either
