@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import read_only, shift_index
-from .reconstruct import ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field
+from .reconstruct import jump_position, thinc_admissible_field, thinc_field, weno_z_field
 
 # Guard used by the smoothness indicator and the blend-weight denominator; like
 # the selectors' other constant operands, a read-only 0-d array (see reconstruct).
@@ -72,12 +72,12 @@ class SelectionResult:
         return int(np.count_nonzero(self.omega))
 
 
-def build_candidates(values: np.ndarray, params: ThincParams, delta: float) -> CandidateSet:
+def build_candidates(values: np.ndarray, scheme) -> CandidateSet:
     """Both reconstructions and the admissibility test per cell, from one jump position."""
     wl, wr = weno_z_field(values)
     jump = jump_position(values)
-    adm = thinc_admissible_field(jump, delta)
-    tl, tr = thinc_field(jump, params)
+    adm = thinc_admissible_field(jump, scheme)
+    tl, tr = thinc_field(jump, scheme)
     weno_only = ~adm
     np.putmask(tl, weno_only, wl)
     np.putmask(tr, weno_only, wr)
@@ -172,13 +172,11 @@ def bvd2_select(candidates: CandidateSet) -> SelectionResult:
     return _discrete_result(m_thinc < m_weno, candidates)
 
 
-def bvd3_select(
-    candidates: CandidateSet, averages: np.ndarray, s_cutoff: float = 1e6
-) -> SelectionResult:
+def bvd3_select(candidates: CandidateSet, averages: np.ndarray, scheme) -> SelectionResult:
     """Smoothness-gated blending of the two candidates.
 
     Cells flagged non-smooth (normalized fourth-power boundary variation of
-    the WENO reconstruction, turned into an indicator S < s_cutoff) blend
+    the WENO reconstruction, turned into an indicator S < scheme.s_cutoff) blend
     THINC into WENO with the weight that minimizes the squared mismatch to
     the neighbors' WENO face values; the quadratic has the closed-form
     stationary point implemented below. The weight is clamped to [0, 1].
@@ -187,8 +185,6 @@ def bvd3_select(
     THINC's pair equal to WENO's, finite faces give a zero denominator and so
     omega 0, and a non-finite face makes S NaN, which never passes s_cutoff.
     """
-    if not s_cutoff > 0.0:
-        raise ValueError("s_cutoff must be positive")
     # Not _face_jumps: bvd3 reads WENO's jumps only, and d_right is WW's jump
     # with its operands swapped (-WW would make raw -0.0 where it is +0.0).
     prv, nxt = (shift_index(averages.shape[0], s) for s in (-1, 1))
@@ -199,7 +195,7 @@ def bvd3_select(
     d4_left, d4_right, dq4_left, dq4_right = np.square(jumps, out=jumps)
     tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)
     smoothness = (_ONE - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
-    blend = smoothness < s_cutoff
+    blend = smoothness < scheme.s_cutoff_array
 
     e_left = candidates.thinc_left - candidates.weno_left
     e_right = candidates.thinc_right - candidates.weno_right

@@ -9,7 +9,8 @@ the layout that carries over to unstructured grids. jump_position gathers
 through field.shift_index; WENO-Z gathers its mirrored two-ghost-cell line
 (LeVeque, Finite Volume Methods for Hyperbolic Problems, 2002, ch. 7) and
 slices its stencil operands from it as views. THINC and its admissibility
-test read one jump position, evaluated once per stage in bvd.build_candidates.
+test read one jump position, evaluated once per stage in bvd.build_candidates,
+and their parameters beta and delta as the 0-d operands of a solver.SchemeConfig.
 
 WENO-Z's left face is its right-face formula read on the reversed stencil
 (the mirror symmetry of the upwind-biased stencil; Jiang & Shu, JCP 126,
@@ -37,9 +38,7 @@ the left face changes the last bit of the left values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import ClassVar
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,9 +53,10 @@ _ZERO, _QUARTER, _HALF, _ONE, _TWO, _THREE, _FOUR, _FIVE, _SIX, _SEVEN, _ELEVEN 
 _THIRTEEN_TWELFTHS = read_only(13.0 / 12.0)
 
 # Regularization constants. Three distinct epsilons are in play across the
-# package: the WENO-Z weight guard below, the THINC division guard in
-# ThincParams, and the smoothness-indicator guard in bvd.BVD3_EPS.
+# package: the WENO-Z weight guard and the THINC division guard below, and
+# the smoothness-indicator guard in bvd.BVD3_EPS.
 WENO_Z_EPS = read_only(1e-40)
+THINC_EPS = read_only(1e-20)
 
 # Cap on the THINC exponent argument. Admissible cells satisfy
 # |beta*(2C-1)| <= beta, far below the cap for any practical steepness, so
@@ -64,29 +64,6 @@ WENO_Z_EPS = read_only(1e-40)
 # finite for the degenerate inputs that the admissibility test rejects.
 _THINC_EXP_CAP = 25.0
 _EXP_FLOOR, _EXP_CAP = read_only(-_THINC_EXP_CAP), read_only(_THINC_EXP_CAP)
-
-
-@dataclass(frozen=True)
-class ThincParams:
-    """Sigmoid-reconstruction parameters: jump steepness, plus the fixed division guard."""
-
-    beta: float = 1.8
-    eps: ClassVar[np.ndarray] = read_only(1e-20)
-
-    def __post_init__(self) -> None:
-        # cosh(beta) overflows past beta = 710.4758..., and THINC's faces turn NaN.
-        with np.errstate(over="ignore"):
-            if not (self.beta > 0.0 and self.cosh_beta < np.inf):
-                raise ValueError("beta must be > 0 with cosh(beta) finite (beta <= 710.4758)")
-        object.__setattr__(self, "beta_array", read_only(self.beta))  # as cosh_beta: a 0-d operand
-
-    @cached_property
-    def cosh_beta(self) -> np.ndarray:
-        return read_only(np.cosh(self.beta))
-
-    @cached_property
-    def tanh_beta(self) -> np.ndarray:
-        return read_only(np.tanh(self.beta))
 
 
 @lru_cache(maxsize=None)
@@ -185,30 +162,30 @@ def jump_position(values: np.ndarray) -> tuple[np.ndarray, ...]:
     span = np.maximum(qm, qp)
     span -= qmin
     position = values - qmin
-    position += ThincParams.eps
-    position /= span + ThincParams.eps
+    position += THINC_EPS
+    position /= span + THINC_EPS
     return values, qm, qp, qmin, span, position
 
 
-def thinc_field(jump: tuple[np.ndarray, ...], params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
+def thinc_field(jump: tuple[np.ndarray, ...], scheme) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell THINC boundary pairs from a periodic field's jump_position tuple.
 
-    The in-cell profile is a tanh ramp between the neighbor averages whose
-    jump-center position is fixed by cell-average consistency; the boundary
-    values below are its exact face evaluations, no root solve needed.
+    The in-cell profile is a tanh ramp of steepness scheme.beta between the neighbor
+    averages whose jump-center position is fixed by cell-average consistency; the
+    boundary values below are its exact face evaluations, no root solve needed.
     """
     _, qm, qp, qmin, span, position = jump
     theta = qp - qm
     np.sign(theta, out=theta)
     ratio = _TWO * position
     ratio -= _ONE
-    arg = theta * params.beta_array
+    arg = theta * scheme.beta_array
     arg *= ratio
     np.maximum(arg, _EXP_FLOOR, out=arg)
     np.minimum(arg, _EXP_CAP, out=arg)
     scaled = np.exp(arg)  # out of place: exp's SIMD path is not checked on aliased arrays
-    scaled /= params.cosh_beta
-    tb = params.tanh_beta
+    scaled /= scheme.cosh_beta
+    tb = scheme.tanh_beta
     a = scaled - _ONE
     a /= tb
     # 1 + a*tanh(beta) equals `scaled` exactly in real arithmetic; restore it
@@ -231,22 +208,13 @@ def thinc_field(jump: tuple[np.ndarray, ...], params: ThincParams) -> tuple[np.n
     return left, right
 
 
-def thinc_admissible_field(jump: tuple[np.ndarray, ...], delta: float) -> np.ndarray:
-    """Per-cell mask, from jump_position, of where the sigmoid fit is usable:
-    the cell position C lies in (delta, 1 - delta) and the data are strictly monotone."""
-    low, high = _open_interval(delta)
+def thinc_admissible_field(jump: tuple[np.ndarray, ...], scheme) -> np.ndarray:
+    """Per-cell mask, from jump_position, of where the sigmoid fit is usable: the
+    cell position C lies in (scheme.delta, 1 - scheme.delta) and the data are strictly monotone."""
     values, qm, qp, _, _, position = jump
     rise = qp - values
     rise *= values - qm
-    admissible = position > low
-    admissible &= position < high
+    admissible = position > scheme.delta_low
+    admissible &= position < scheme.delta_high
     admissible &= rise > _ZERO
     return admissible
-
-
-@lru_cache(maxsize=None)
-def _open_interval(delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, 1 - delta) as read-only 0-d arrays, made once per delta in (0, 0.5)."""
-    if not 0.0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 0.5)")
-    return read_only(delta), read_only(1.0 - delta)

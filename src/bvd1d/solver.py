@@ -9,7 +9,7 @@ import numpy as np
 
 from .bvd import SELECTORS, SelectionResult, build_candidates, bvd3_select
 from .field import CellField, read_only, shift_index
-from .reconstruct import ThincParams, weno_z_field
+from .reconstruct import weno_z_field
 
 SCHEMES = ("wenoz", *SELECTORS)
 # The flux's and the RK combination's constant operands (see reconstruct)
@@ -44,7 +44,11 @@ class FluxSpec:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Spatial scheme selection: candidate parameters plus the hybridization rule."""
+    """Spatial scheme selection: candidate parameters plus the hybridization rule.
+
+    Each parameter is checked here, once. The stage kernels read beta, delta and
+    s_cutoff as the read-only 0-d operands built below, once per config (see reconstruct).
+    """
 
     scheme: str = "wenoz"
     beta: float = 1.8
@@ -54,14 +58,20 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        with np.errstate(over="ignore"):  # cosh(beta) overflows past beta = 710.4758...
+            cosh_beta = np.cosh(self.beta)
+        if not (self.beta > 0.0 and cosh_beta < np.inf):  # else THINC's faces turn NaN
+            raise ValueError("beta must be > 0 with cosh(beta) finite (beta <= 710.4758)")
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
         if not self.s_cutoff > 0.0:
             raise ValueError("s_cutoff must be positive")
-        # ThincParams checks beta; built once per config, not once per RK stage, like
-        # the read-only 0-d s_cutoff that select passes to bvd3_select
-        object.__setattr__(self, "thinc_params", ThincParams(beta=self.beta))
-        object.__setattr__(self, "s_cutoff_array", read_only(self.s_cutoff))
+        for name, value in (
+            ("beta_array", self.beta), ("cosh_beta", cosh_beta), ("tanh_beta", np.tanh(self.beta)),
+            ("delta_low", self.delta), ("delta_high", 1.0 - self.delta),
+            ("s_cutoff_array", self.s_cutoff),
+        ):
+            object.__setattr__(self, name, read_only(value))
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,9 @@ def select(values: np.ndarray, scheme: SchemeConfig) -> SelectionResult:
         return SelectionResult(
             np.zeros(values.shape[0]), right_of_cell, left_of_cell[shift_index(values.shape[0], 1)]
         )
-    candidates = build_candidates(values, scheme.thinc_params, scheme.delta)
+    candidates = build_candidates(values, scheme)
     if scheme.scheme == "bvd3":
-        return bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff_array)
+        return bvd3_select(candidates, values, scheme)
     return SELECTORS[scheme.scheme](candidates)
 
 

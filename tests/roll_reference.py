@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from bvd1d.bvd import BVD3_EPS, CandidateSet, SelectionResult
-from bvd1d.reconstruct import WENO_Z_EPS, ThincParams
+from bvd1d.reconstruct import THINC_EPS, WENO_Z_EPS
+from bvd1d.solver import SchemeConfig
 
 _D0, _D1, _D2 = 0.1, 0.6, 0.3
 _THINC_EXP_CAP = 25.0
@@ -64,10 +65,10 @@ def _thinc_faces(qm, qc, qp, beta: float, eps: float):
     return left, right
 
 
-def thinc_field(values: np.ndarray, params: ThincParams) -> tuple[np.ndarray, np.ndarray]:
+def thinc_field(values: np.ndarray, params: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
     qm = np.roll(values, 1)
     qp = np.roll(values, -1)
-    return _thinc_faces(qm, values, qp, params.beta, params.eps)
+    return _thinc_faces(qm, values, qp, params.beta, THINC_EPS)
 
 
 def _admissible(qm, qc, qp, delta: float, eps: float):
@@ -92,11 +93,11 @@ def thinc_admissible_field(
 
 
 def build_candidates(
-    values: np.ndarray, params: ThincParams, delta: float
+    values: np.ndarray, params: SchemeConfig, delta: float
 ) -> CandidateSet:
     wl, wr = weno_z_field(values)
     tl, tr = thinc_field(values, params)
-    adm = thinc_admissible_field(values, delta, params.eps)
+    adm = thinc_admissible_field(values, delta, THINC_EPS)
     return CandidateSet(
         weno_left=wl,
         weno_right=wr,
@@ -240,7 +241,7 @@ def _interface_states(values: np.ndarray, scheme) -> tuple[np.ndarray, np.ndarra
     if scheme.scheme == "wenoz":
         left_of_cell, right_of_cell = weno_z_field(values)
         return right_of_cell, np.roll(left_of_cell, -1), 0, 0
-    candidates = build_candidates(values, ThincParams(beta=scheme.beta), scheme.delta)
+    candidates = build_candidates(values, scheme, scheme.delta)
     if scheme.scheme == "bvd3":
         sel = bvd3_select(candidates, values, s_cutoff=scheme.s_cutoff)
     else:

@@ -10,7 +10,6 @@ import pytest
 from bvd1d.bvd import build_candidates, bvd1_select, bvd2_select, bvd3_select
 from bvd1d.experiments import PROFILES, l1_error
 from bvd1d.field import Grid1D, project_initial
-from bvd1d.reconstruct import ThincParams
 from bvd1d.solver import FluxSpec, SchemeConfig, TimeConfig, advect
 
 from oracles import (
@@ -140,17 +139,17 @@ def test_criterion_7_conservation(runs):
 
 def test_criterion_8_selector_oracle_equivalence():
     rng = np.random.RandomState(2024)
-    params = ThincParams(beta=1.8)
+    config = SchemeConfig(beta=1.8, delta=1e-4)
     mismatches = 0
     worst_omega_gap = 0.0
     for _ in range(200):
         values = rng.uniform(-1.0, 1.0, 8)
-        cs = build_candidates(values, params, delta=1e-4)
+        cs = build_candidates(values, config)
         got1 = ["T" if w == 1.0 else "W" for w in bvd1_select(cs).omega]
         got2 = ["T" if w == 1.0 else "W" for w in bvd2_select(cs).omega]
         if got1 != brute_force_bvd1_tags(cs) or got2 != brute_force_bvd2_tags(cs):
             mismatches += 1
-        gap = np.abs(bvd3_select(cs, values).omega - scan_bvd3_omegas(cs, values)).max()
+        gap = np.abs(bvd3_select(cs, values, config).omega - scan_bvd3_omegas(cs, values)).max()
         worst_omega_gap = max(worst_omega_gap, float(gap))
     report(
         8,

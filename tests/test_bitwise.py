@@ -21,8 +21,7 @@ from bvd1d.experiments import FIGURE_SCHEMES, PROFILES
 from bvd1d.field import Grid1D, project_initial
 from bvd1d.solver import FluxSpec, SchemeConfig, TimeConfig, advect
 
-PARAMS = reconstruct.ThincParams(beta=1.8)
-DELTA = 1e-4
+CONFIG = SchemeConfig(beta=1.8, delta=1e-4)  # the kernels' parameters
 SCHEMES = ("wenoz", "bvd1", "bvd2", "bvd3", "bvd4")
 SIZES = (5, 6, 7, 64, 200)
 NARROW_SIZES = (1, 2, 3, 4)  # grids narrower than the 5-point stencil
@@ -77,9 +76,10 @@ def assert_same_selection(new, old) -> None:
     assert new.n_clamped == old.n_clamped
 
 
-def select(selectors, name: str, candidates: CandidateSet, values: np.ndarray):
+def select(selectors, name: str, candidates: CandidateSet, values: np.ndarray, bvd3_arg):
+    """The package's bvd3 takes a SchemeConfig (bvd3_arg), the reference's an s_cutoff."""
     if name == "bvd3":
-        return selectors["bvd3"](candidates, values)
+        return selectors["bvd3"](candidates, values, bvd3_arg)
     return selectors[name](candidates)
 
 
@@ -88,24 +88,25 @@ def test_kernels_match(label, values):
     for new, old in zip(reconstruct.weno_z_field(values), ref.weno_z_field(values)):
         assert np.array_equal(new, old)
     jump = reconstruct.jump_position(values)
-    for new, old in zip(reconstruct.thinc_field(jump, PARAMS), ref.thinc_field(values, PARAMS)):
+    for new, old in zip(reconstruct.thinc_field(jump, CONFIG), ref.thinc_field(values, CONFIG)):
         assert np.array_equal(new, old)
     assert np.array_equal(
-        reconstruct.thinc_admissible_field(jump, DELTA),
-        ref.thinc_admissible_field(values, DELTA),
+        reconstruct.thinc_admissible_field(jump, CONFIG),
+        ref.thinc_admissible_field(values, CONFIG.delta),
     )
-    new, old = bvd.build_candidates(values, PARAMS, DELTA), ref.build_candidates(values, PARAMS, DELTA)
+    new = bvd.build_candidates(values, CONFIG)
+    old = ref.build_candidates(values, CONFIG, CONFIG.delta)
     for name in ("weno_left", "weno_right", "thinc_left", "thinc_right", "admissible"):
         assert np.array_equal(getattr(new, name), getattr(old, name))
 
 
 @pytest.mark.parametrize("label, values", all_fields())
 def test_selectors_and_interfaces_match(label, values):
-    candidates = ref.build_candidates(values, PARAMS, DELTA)
+    candidates = ref.build_candidates(values, CONFIG, CONFIG.delta)
     for name in ("bvd1", "bvd2", "bvd3", "bvd4"):
         assert_same_selection(
-            select(bvd.SELECTORS, name, candidates, values),
-            select(ref.SELECTORS, name, candidates, values),
+            select(bvd.SELECTORS, name, candidates, values, CONFIG),
+            select(ref.SELECTORS, name, candidates, values, CONFIG.s_cutoff),
         )
     rng = np.random.default_rng(values.size)
     for omega in (np.zeros(values.size), np.ones(values.size), rng.uniform(0.0, 1.0, values.size)):
@@ -119,8 +120,8 @@ def test_tied_face_pairs_keep_the_earliest_combination():
     candidates = tie_candidates()
     values = np.linspace(0.0, 1.0, len(candidates.weno_left))
     for name in ("bvd1", "bvd2", "bvd3", "bvd4"):
-        new = select(bvd.SELECTORS, name, candidates, values)
-        assert_same_selection(new, select(ref.SELECTORS, name, candidates, values))
+        new = select(bvd.SELECTORS, name, candidates, values, CONFIG)
+        assert_same_selection(new, select(ref.SELECTORS, name, candidates, values, CONFIG.s_cutoff))
     assert not bvd.bvd1_select(candidates).omega.any()
 
 
@@ -130,12 +131,12 @@ def test_bvd3_cutoff_at_each_cells_indicator(n):
     last-bit change of S flips that cell's blend decision."""
     checked = 0
     for values in random_fields(n, count=6, seed=1):
-        candidates = ref.build_candidates(values, PARAMS, DELTA)
+        candidates = ref.build_candidates(values, CONFIG, CONFIG.delta)
         smoothness = ref.bvd3_smoothness(candidates, values)
         for s in smoothness[candidates.admissible & (smoothness > 0.0)]:
             for cutoff in (s, np.nextafter(s, np.inf)):
                 assert_same_selection(
-                    bvd.bvd3_select(candidates, values, s_cutoff=cutoff),
+                    bvd.bvd3_select(candidates, values, SchemeConfig(s_cutoff=cutoff)),
                     ref.bvd3_select(candidates, values, s_cutoff=cutoff),
                 )
                 checked += 1
@@ -151,18 +152,6 @@ def test_stage_rhs_matches(scheme, label, values):
     old = ref._rhs_values(values, 0.01, config, flux)
     assert_same_bytes(new[0], old[0])
     assert new[1:] == old[1:]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_stencil_wider_than_grid(n):
-    """Below five cells the 5-point stencil wraps onto itself more than once."""
-    for values in random_fields(n, count=4):
-        for new, old in zip(reconstruct.weno_z_field(values), ref.weno_z_field(values)):
-            assert np.array_equal(new, old)
-        for scheme in SCHEMES:
-            new = solver._rhs_values(values, 0.01, SchemeConfig(scheme), FluxSpec())
-            old = ref._rhs_values(values, 0.01, SchemeConfig(scheme), FluxSpec())
-            assert_same_bytes(new[0], old[0])
 
 
 @pytest.mark.parametrize("n_cells, steps", [(200, 50), (2000, 10)])
@@ -182,11 +171,23 @@ def test_advect_matches(monkeypatch, figure, n_cells, steps):
     assert new.clamped_cells == old.clamped_cells
 
 
-def test_thinc_params_built_once_per_config():
-    config = SchemeConfig("bvd1", beta=2.5)
-    assert config.thinc_params is config.thinc_params
-    assert config.thinc_params == reconstruct.ThincParams(beta=2.5)
-    assert dataclasses.replace(config, beta=3.0).thinc_params.beta == 3.0
+OPERANDS = ("beta_array", "cosh_beta", "tanh_beta", "delta_low", "delta_high", "s_cutoff_array")
+
+
+def test_scheme_operands_built_once_per_config():
+    """SchemeConfig's operands are read-only 0-d float64 arrays, made in __post_init__ and
+    held by the config (not rebuilt per read), and dataclasses.replace rebuilds them."""
+    config = SchemeConfig("bvd3", beta=2.5, delta=0.01, s_cutoff=5.0)
+    expected = (2.5, np.cosh(2.5), np.tanh(2.5), 0.01, 1.0 - 0.01, 5.0)
+    for name, value in zip(OPERANDS, expected):
+        operand = vars(config)[name]
+        assert operand is getattr(config, name)
+        assert operand.shape == () and operand.dtype == np.float64, name
+        assert not operand.flags.writeable, name
+        assert operand.tobytes() == np.float64(value).tobytes(), name
+    changed = dataclasses.replace(config, beta=3.0, delta=0.2, s_cutoff=7.0)
+    for name, value in zip(OPERANDS, (3.0, np.cosh(3.0), np.tanh(3.0), 0.2, 0.8, 7.0)):
+        assert vars(changed)[name].tobytes() == np.float64(value).tobytes(), name
 
 
 def extreme_fields(n: int, count: int = 6) -> list[np.ndarray]:
@@ -212,10 +213,10 @@ def test_kernels_match_at_extreme_magnitudes(n):
             jump = reconstruct.jump_position(values)
             pairs = [
                 *zip(reconstruct.weno_z_field(values), ref.weno_z_field(values)),
-                *zip(reconstruct.thinc_field(jump, PARAMS), ref.thinc_field(values, PARAMS)),
+                *zip(reconstruct.thinc_field(jump, CONFIG), ref.thinc_field(values, CONFIG)),
                 (
-                    reconstruct.thinc_admissible_field(jump, DELTA),
-                    ref.thinc_admissible_field(values, DELTA),
+                    reconstruct.thinc_admissible_field(jump, CONFIG),
+                    ref.thinc_admissible_field(values, CONFIG.delta),
                 ),
             ]
             for new, old in pairs:
@@ -261,8 +262,8 @@ def test_bvd3_needs_no_mask_off_finite_data(n, s_cutoff):
     non_finite = 0
     with np.errstate(all="ignore"):
         for values in non_finite_fields(n):
-            candidates = bvd.build_candidates(values, PARAMS, DELTA)
-            new = bvd.bvd3_select(candidates, values, s_cutoff=s_cutoff)
+            candidates = bvd.build_candidates(values, CONFIG)
+            new = bvd.bvd3_select(candidates, values, SchemeConfig(s_cutoff=s_cutoff))
             old = ref.bvd3_select(candidates, values, s_cutoff=s_cutoff)
             for name in ("omega", "face_left", "face_right"):
                 assert np.array_equal(getattr(new, name), getattr(old, name), equal_nan=True)

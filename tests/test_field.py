@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvd1d import field, reconstruct
 from bvd1d.field import CellField, Grid1D, project_initial
@@ -77,19 +77,20 @@ class TestStencil:
 
 
 class TestShiftIndex:
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    @pytest.mark.parametrize("shift", [-1, 1])
-    def test_gathers_the_padded_neighbour(self, n, shift):
-        """x[shift_index(n, s)] holds what np.roll(x, -s) does: cell (j + s) % n at position j."""
-        values = np.arange(n) * 1.5 - 2.0
-        neighbours = values[field.shift_index(n, shift)]
-        assert neighbours.tobytes() == np.roll(values, -shift).tobytes()
-
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
         st.lists(st.floats(), min_size=n, max_size=n), st.integers(-3 * n, 3 * n))))
+    @example(([-2.0], -1))
+    @example(([-2.0], 1))
+    @example(([-2.0, -0.5], -1))
+    @example(([-2.0, -0.5], 1))
+    @example(([-2.0, -0.5, 1.0, 2.5, 4.0], -1))
+    @example(([-2.0, -0.5, 1.0, 2.5, 4.0], 1))
     def test_every_neighbour_gather_matches_np_roll(self, case):
-        """Also on grids narrower than the stencil: shifts past n wrap round more than once."""
+        """x[shift_index(n, s)] holds what np.roll(x, -s) does: cell (j + s) % n at position j.
+
+        Also on grids narrower than the stencil: shifts past n wrap round more than once.
+        """
         values, shift = np.array(case[0]), case[1]
         n = values.shape[0]
         assert values[field.shift_index(n, shift)].tobytes() == np.roll(values, -shift).tobytes()

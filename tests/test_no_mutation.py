@@ -17,8 +17,7 @@ from bvd1d import bvd, reconstruct, solver
 from bvd1d.bvd import CandidateSet
 from bvd1d.solver import FluxSpec, SchemeConfig
 
-PARAMS = reconstruct.ThincParams(beta=1.8)
-DELTA = 1e-4
+CONFIG = SchemeConfig(beta=1.8, delta=1e-4)  # the kernels' parameters
 SCHEMES = ("wenoz", "bvd1", "bvd2", "bvd3", "bvd4")
 
 
@@ -55,16 +54,16 @@ def assert_leaves_inputs_unchanged(fn, *args):
 
 @pytest.mark.parametrize("label, values", fields())
 def test_kernels_and_selectors_leave_inputs_unchanged(label, values):
-    candidates = bvd.build_candidates(values, PARAMS, DELTA)
+    candidates = bvd.build_candidates(values, CONFIG)
     omega = np.linspace(0.0, 1.0, values.size)
     assert_leaves_inputs_unchanged(reconstruct.weno_z_field, values)
     jump = reconstruct.jump_position(values)
-    assert_leaves_inputs_unchanged(reconstruct.thinc_field, jump, PARAMS)
-    assert_leaves_inputs_unchanged(reconstruct.thinc_admissible_field, jump, DELTA)
-    assert_leaves_inputs_unchanged(bvd.build_candidates, values, PARAMS, DELTA)
+    assert_leaves_inputs_unchanged(reconstruct.thinc_field, jump, CONFIG)
+    assert_leaves_inputs_unchanged(reconstruct.thinc_admissible_field, jump, CONFIG)
+    assert_leaves_inputs_unchanged(bvd.build_candidates, values, CONFIG)
     for name in ("bvd1", "bvd2", "bvd4"):
         assert_leaves_inputs_unchanged(bvd.SELECTORS[name], candidates)
-    assert_leaves_inputs_unchanged(bvd.bvd3_select, candidates, values)
+    assert_leaves_inputs_unchanged(bvd.bvd3_select, candidates, values, CONFIG)
     assert_leaves_inputs_unchanged(bvd.assemble_interfaces, omega, candidates)
 
 
@@ -81,13 +80,13 @@ def test_flux_and_stages_leave_inputs_unchanged(scheme, label, values):
 @pytest.mark.parametrize("label, values", fields())
 def test_arrays_updated_in_place_own_their_memory(label, values):
     weno_left, weno_right = reconstruct.weno_z_field(values)
-    candidates = bvd.build_candidates(values, PARAMS, DELTA)
+    candidates = bvd.build_candidates(values, CONFIG)
     owned = [values, weno_left, weno_right, *arrays_of([candidates])]
     for a, b in itertools.combinations(owned, 2):
         assert not np.shares_memory(a, b)
 
     for name in ("bvd1", "bvd2", "bvd3", "bvd4"):
-        args = (candidates, values) if name == "bvd3" else (candidates,)
+        args = (candidates, values, CONFIG) if name == "bvd3" else (candidates,)
         sel = bvd.SELECTORS[name](*args)
         for face in (sel.face_left, sel.face_right):
             assert not any(np.shares_memory(face, a) for a in arrays_of([candidates]))

@@ -2,19 +2,23 @@
 
 "Results at a glance" against the benchmark runs it quotes, every numeric
 row of "Defaults and constants" against the default or constant it names,
-and "Library use" as a spec of the package root: its code blocks run as
+"Library use" as a spec of the package root: its code blocks run as
 written, and bvd1d.__all__ holds exactly the names the README reaches as
-bvd1d.<name>.
+bvd1d.<name>; and the introduction's claims, one test per sentence.
 """
 
 import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
+
 import bvd1d
 from bvd1d.bvd import BVD3_EPS
-from bvd1d.reconstruct import WENO_Z_EPS, ThincParams
-from bvd1d.solver import SchemeConfig, TimeConfig
+from bvd1d.experiments import PROFILES, exact_advected, l1_error
+from bvd1d.field import Grid1D, project_initial
+from bvd1d.reconstruct import THINC_EPS, WENO_Z_EPS
+from bvd1d.solver import FluxSpec, SchemeConfig, TimeConfig, advect
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,7 +65,7 @@ def test_defaults_table_matches_the_code():
         "s_cutoff": scheme.s_cutoff,
         "CFL": time.cfl,
         "WENO_Z_EPS": WENO_Z_EPS,
-        "ThincParams.eps": ThincParams.eps,
+        "THINC_EPS": THINC_EPS,
         "BVD3_EPS": BVD3_EPS,
     }
     numeric = {}
@@ -89,3 +93,21 @@ def test_root_exports_exactly_the_names_the_readme_uses():
     written = set(re.findall(r"\bbvd1d\.(\w+)", README.read_text(encoding="utf-8")))
     assert written - submodules == set(bvd1d.__all__)
     assert all(hasattr(bvd1d, name) for name in bvd1d.__all__)
+
+
+def test_smooth_regions_retain_fifth_order_accuracy():
+    """"smooth regions retain full 5th-order accuracy": on `sine`, with the smooth-ladder
+    benchmark's t_end 0.2, dt = 0.2 dx^(5/3) and N = 25, 50, 100, no BVD scheme ever
+    selects THINC, each ends byte-equal to wenoz, and wenoz's L1 order is 5."""
+    profile, errors = PROFILES["sine"], []
+    for n in (25, 50, 100):
+        grid = Grid1D(n, profile.x_left, profile.x_right)
+        initial = project_initial(grid, profile.func)
+        time = TimeConfig(t_end=0.2, dt=0.2 * grid.dx ** (5.0 / 3.0))
+        wenoz = advect(initial, FluxSpec(), time, SchemeConfig("wenoz")).final
+        errors.append(l1_error(wenoz, exact_advected(profile, grid, 1.0, 0.2)))
+        for scheme in ("bvd1", "bvd2", "bvd3", "bvd4"):
+            run = advect(initial, FluxSpec(), time, SchemeConfig(scheme))
+            assert run.final.averages.tobytes() == wenoz.averages.tobytes(), (scheme, n)
+            assert not run.t_cells_per_step.any(), (scheme, n)
+    assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) > 4.9)

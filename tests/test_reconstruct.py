@@ -3,8 +3,9 @@ import pytest
 
 from bvd1d.field import Grid1D
 from bvd1d.reconstruct import (
-    ThincParams, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
+    THINC_EPS, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
 )
+from bvd1d.solver import SchemeConfig
 
 from oracles import (
     implied_jump_center,
@@ -30,7 +31,8 @@ def thinc_cell(qm, qc, qp, params):
 
 def admissible_cell(qm, qc, qp, delta):
     """Admissibility of cell 1 of the periodic window (qm, qc, qp)."""
-    return thinc_admissible_field(jump_position(np.array([qm, qc, qp], dtype=float)), delta)[1]
+    window = jump_position(np.array([qm, qc, qp], dtype=float))
+    return thinc_admissible_field(window, SchemeConfig(delta=delta))[1]
 
 
 class TestWenoZ:
@@ -92,40 +94,40 @@ class TestThinc:
     def test_frozen_values_beta_1_8(self):
         # expected values from root-finding the jump center and evaluating
         # the sigmoid at the faces (independent of the closed-form algebra)
-        left, right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=1.8))
+        left, right = thinc_cell(0.0, 0.5, 1.0, SchemeConfig(beta=1.8))
         assert left == pytest.approx(0.141851064900488, abs=1e-12)
         assert right == pytest.approx(0.858148935099512, abs=1e-12)
 
     def test_frozen_values_beta_4_0(self):
-        left, right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=4.0))
+        left, right = thinc_cell(0.0, 0.5, 1.0, SchemeConfig(beta=4.0))
         assert left == pytest.approx(0.017986209962092, abs=1e-12)
         assert right == pytest.approx(0.982013790037908, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 1.8, 4.0, 8.0])
     def test_centered_jump_is_symmetric(self, beta):
-        left, right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=beta))
+        left, right = thinc_cell(0.0, 0.5, 1.0, SchemeConfig(beta=beta))
         assert abs(left + right - 1.0) < 1e-12
 
     def test_mirrored_triplet_swaps_faces(self):
-        params = ThincParams(beta=1.8)
+        params = SchemeConfig(beta=1.8)
         rising_left, rising_right = thinc_cell(0.0, 0.5, 1.0, params)
         falling_left, falling_right = thinc_cell(1.0, 0.5, 0.0, params)
         assert falling_left == pytest.approx(rising_right, abs=1e-14)
         assert falling_right == pytest.approx(rising_left, abs=1e-14)
 
     def test_larger_beta_sharpens_faces(self):
-        gentle_left, gentle_right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=1.8))
-        steep_left, steep_right = thinc_cell(0.0, 0.5, 1.0, ThincParams(beta=4.0))
+        gentle_left, gentle_right = thinc_cell(0.0, 0.5, 1.0, SchemeConfig(beta=1.8))
+        steep_left, steep_right = thinc_cell(0.0, 0.5, 1.0, SchemeConfig(beta=4.0))
         assert steep_right > gentle_right
         assert steep_left < gentle_left
 
     def test_equal_neighbors_degenerate_to_their_value(self):
-        left, right = thinc_cell(2.0, 7.0, 2.0, ThincParams(beta=1.8))
+        left, right = thinc_cell(2.0, 7.0, 2.0, SchemeConfig(beta=1.8))
         assert left == pytest.approx(2.0)
         assert right == pytest.approx(2.0)
 
     def test_extreme_inputs_stay_finite(self):
-        params = ThincParams(beta=1.8)
+        params = SchemeConfig(beta=1.8)
         for triplet in [(0.0, 1.0, 1e-30), (0.0, -1.0, 1e-300), (1e9, -1e9, 1e9)]:
             left, right = thinc_cell(*triplet, params)
             assert np.isfinite(left) and np.isfinite(right)
@@ -134,12 +136,12 @@ class TestThinc:
         # At beta >= 15, 1 + a*tanh(beta) rounds to exactly 0 on saturated
         # cells; the denom > 0 guard restores `scaled` there.
         values = np.array([0.0, 1e-9, 1.0, 1.0, 0.0] * 4)
-        left, right = thinc_field(jump_position(values), ThincParams(beta=20.0))
+        left, right = thinc_field(jump_position(values), SchemeConfig(beta=20.0))
         assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
 
     def test_admissible_faces_bounded_by_neighbors(self):
         rng = np.random.RandomState(2)
-        params = ThincParams(beta=1.8)
+        params = SchemeConfig(beta=1.8)
         for _ in range(200):
             qm, qc, qp = random_admissible_triplet(rng)
             assert admissible_cell(qm, qc, qp, delta=1e-4)
@@ -151,7 +153,7 @@ class TestThinc:
     @pytest.mark.parametrize("beta", [1.8, 4.0])
     def test_faces_match_root_found_jump_center(self, beta):
         rng = np.random.RandomState(3)
-        params = ThincParams(beta=beta)
+        params = SchemeConfig(beta=beta)
         for _ in range(100):
             qm, qc, qp = random_admissible_triplet(rng)
             center = solve_jump_center(qm, qc, qp, beta)
@@ -167,33 +169,21 @@ class TestThinc:
         # integrating the reconstruction with the implied jump center
         # recovers the cell average
         rng = np.random.RandomState(4)
-        params = ThincParams(beta=1.8)
+        params = SchemeConfig(beta=1.8)
         for _ in range(50):
             qm, qc, qp = random_admissible_triplet(rng)
-            center = implied_jump_center(qm, qc, qp, params.beta, params.eps)
+            center = implied_jump_center(qm, qc, qp, params.beta, THINC_EPS)
             mean = integrate_sigmoid_average(qm, qc, qp, params.beta, center)
             assert mean == pytest.approx(qc, abs=1e-10)
 
     def test_field_matches_scalar_op(self):
         rng = np.random.RandomState(5)
         values = rng.uniform(-1.0, 1.0, 9)
-        params = ThincParams(beta=1.8)
+        params = SchemeConfig(beta=1.8)
         left, right = thinc_field(jump_position(values), params)
         for i in range(9):
             cell = thinc_cell(values[i - 1], values[i], values[(i + 1) % 9], params)
             assert cell == (left[i], right[i])
-
-    def test_invalid_params_rejected(self):
-        for beta in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                ThincParams(beta=beta)
-
-    def test_beta_needs_a_finite_cosh(self):
-        # cosh overflows between 710 and 711; beyond, THINC's faces are NaN.
-        assert np.isfinite(ThincParams(beta=710.0).cosh_beta)
-        for beta in (711.0, 1e10):
-            with pytest.raises(ValueError, match="cosh"):
-                ThincParams(beta=beta)
 
 
 class TestAdmissibility:
@@ -217,20 +207,14 @@ class TestAdmissibility:
         values = np.array([0.0, 0.0, 1e-17, 1.0, 2.0])
         jump = jump_position(values)
         assert 1e-4 < jump[-1][1] < 1.0 - 1e-4
-        assert not thinc_admissible_field(jump, delta=1e-4)[1]
+        assert not thinc_admissible_field(jump, SchemeConfig(delta=1e-4))[1]
 
     def test_field_mask_matches_scalar(self):
         rng = np.random.RandomState(6)
         values = rng.uniform(-1.0, 1.0, 11)
-        mask = thinc_admissible_field(jump_position(values), delta=1e-4)
+        mask = thinc_admissible_field(jump_position(values), SchemeConfig(delta=1e-4))
         for i in range(11):
             expected = admissible_cell(
                 values[i - 1], values[i], values[(i + 1) % 11], delta=1e-4
             )
             assert mask[i] == expected
-
-    def test_delta_range_enforced(self):
-        with pytest.raises(ValueError):
-            admissible_cell(0.0, 0.5, 1.0, delta=0.5)
-        with pytest.raises(ValueError):
-            thinc_admissible_field(jump_position(np.zeros(4)), delta=0.0)

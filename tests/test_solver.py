@@ -18,7 +18,7 @@ from bvd1d.solver import (
     riemann_flux,
     select,
 )
-from bvd1d.reconstruct import ThincParams, jump_position, thinc_admissible_field, thinc_field
+from bvd1d.reconstruct import jump_position, thinc_admissible_field, thinc_field
 
 from oracles import brute_force_bvd1_tags, brute_force_bvd2_tags, sine_cell_averages
 
@@ -83,7 +83,7 @@ class TestSelect:
     @settings(max_examples=300, deadline=None)
     @given(values=random_fields(), beta=st.sampled_from([1.8, 4.0]))
     def test_tags_match_brute_force_and_weights_lie_in_unit_interval(self, values, beta):
-        cs = build_candidates(values, ThincParams(beta=beta), SchemeConfig.delta)
+        cs = build_candidates(values, SchemeConfig(beta=beta))
         oracles = {"bvd1": brute_force_bvd1_tags, "bvd2": brute_force_bvd2_tags}
         for scheme in ALL_SCHEMES:
             omega = select(values, SchemeConfig(scheme, beta=beta)).omega
@@ -95,7 +95,7 @@ class TestSelect:
     @settings(max_examples=300, deadline=None)
     @given(values=zigzag_fields())
     def test_no_admissible_cell_falls_back_to_wenoz_bitwise(self, values):
-        assert not thinc_admissible_field(jump_position(values), 1e-4).any()
+        assert not thinc_admissible_field(jump_position(values), SchemeConfig(delta=1e-4)).any()
         wenoz = select(values, SchemeConfig("wenoz"))
         assert not wenoz.omega.any()
         for scheme in ALL_SCHEMES[1:]:
@@ -127,8 +127,8 @@ class TestSelect:
         jump = jump_position(values)
         assert gathers == [-1, 1]  # the counter sees jump_position's own two gathers
         gathers.clear()
-        thinc_field(jump, ThincParams())
-        thinc_admissible_field(jump, SchemeConfig.delta)
+        thinc_field(jump, SchemeConfig())
+        thinc_admissible_field(jump, SchemeConfig())
         assert gathers == []
 
 
@@ -147,11 +147,22 @@ class TestConfigs:
             dict(delta=0.5),
             dict(s_cutoff=-1.0),
             dict(s_cutoff=np.nan),
+            dict(beta=-1.0),
+            dict(beta=711.0),
+            dict(beta=1e10),
+            dict(s_cutoff=0.0),
         ],
     )
     def test_bad_scheme_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SchemeConfig(scheme="bvd4", **kwargs)
+
+    def test_beta_needs_a_finite_cosh(self):
+        # cosh overflows between 710 and 711; beyond, THINC's faces are NaN.
+        assert np.isfinite(SchemeConfig(beta=710.0).cosh_beta)
+        for beta in (711.0, 1e10):
+            with pytest.raises(ValueError, match="cosh"):
+                SchemeConfig(beta=beta)
 
     @pytest.mark.parametrize(
         "kwargs",

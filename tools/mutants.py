@@ -41,7 +41,8 @@ MUTANTS = (
     (BVD, "signed_right * signed_left < _ZERO", "signed_right * signed_left <= _ZERO"),
     (BVD, "_discrete_result(m_thinc < m_weno,", "_discrete_result(m_thinc <= m_weno,"),
     (BVD, "(tbv_thinc < tbv_weno)", "(tbv_thinc <= tbv_weno)"),
-    (BVD, "blend = smoothness < s_cutoff", "blend = smoothness <= s_cutoff"),
+    (BVD, "blend = smoothness < scheme.s_cutoff_array",
+     "blend = smoothness <= scheme.s_cutoff_array"),
     (BVD, "/ np.maximum(tbv_weno, BVD3_EPS)", "/ (tbv_weno + BVD3_EPS)"),
     (BVD, "blend & ((raw < _ZERO) | (raw > _ONE))", "blend & (raw < _ZERO)"),
     (BVD, "degenerate = denom < BVD3_EPS", "degenerate = denom <= BVD3_EPS"),
@@ -66,6 +67,9 @@ MUTANTS = (
     (BVD, "averages - averages[prv]", "averages - averages[nxt]"),
     (EXPERIMENTS, "np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))",
      "np.where(values < 0.1, -1, np.where(values > 0.9, 1, 0))"),
+    (SOLVER, '("delta_low", self.delta), ("delta_high", 1.0 - self.delta)',
+     '("delta_low", 1.0 - self.delta), ("delta_high", self.delta)'),
+    (SOLVER, '("tanh_beta", np.tanh(self.beta))', '("tanh_beta", np.tanh(self.delta))'),
     (SOLVER, "time.t_end / dt - 1e-12", "time.t_end / dt - 1e-9"),
     (SOLVER, "max(abs(mass0), float(np.abs(initial.averages).sum() * grid.dx), 1e-300)",
      "max(abs(mass0), 1e-300)"),
