@@ -190,9 +190,14 @@ def bvd3_select(candidates: CandidateSet, averages: np.ndarray, scheme) -> Selec
     prv, nxt = (shift_index(averages.shape[0], s) for s in (-1, 1))
     d_left = candidates.weno_right[prv] - candidates.weno_left
     d_right = candidates.weno_left[nxt] - candidates.weno_right
-    jumps = np.stack((d_left, d_right, averages - averages[prv], averages - averages[nxt]))
-    np.square(jumps, out=jumps)
-    d4_left, d4_right, dq4_left, dq4_right = np.square(jumps, out=jumps)
+    powers = np.empty_like(averages, shape=(4, averages.shape[0]))  # each |jump|^2, then ^4
+    np.square(d_left, out=powers[0])
+    np.square(d_right, out=powers[1])
+    np.subtract(averages, averages[prv], out=powers[2])
+    np.subtract(averages, averages[nxt], out=powers[3])
+    dq = powers[2:]
+    np.square(dq, out=dq)
+    d4_left, d4_right, dq4_left, dq4_right = np.square(powers, out=powers)
     tbv_weno = (d4_left + d4_right) / (dq4_left + dq4_right + BVD3_EPS)
     smoothness = (_ONE - tbv_weno) / np.maximum(tbv_weno, BVD3_EPS)
     blend = smoothness < scheme.s_cutoff_array

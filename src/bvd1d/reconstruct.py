@@ -25,6 +25,17 @@ cached (3, m) array: a broadcast (3, 1) operand costs 1.1 (7.7) us against
 0.47 (3.1) us at m = 54 (4004). One (6, m) allocation instead of two (3, m)
 ones made a stage 3-6 % faster at N = 2000 (numpy 2.4.6, 2-core Xeon).
 
+Only the data change from call to call. So that buffer, the gathered line,
+its 2x, 4x and 5x multiples, the curvature line, the gather index, the d_k and
+every stencil and offset view weno_z_field reads form one workspace per grid
+size, made on the first call and cached: a call is one gather and ufunc calls
+with out=, with no slicing, allocation or row unpacking (23.0 -> 16.6 us at
+N = 50, 28.9 -> 22.2 us at N = 200, 93 -> 91 us at N = 2000). Its two results
+stay new arrays, as solver.select hands the right faces on as face_left and a
+bvd.CandidateSet keeps both. numpy releases the GIL inside large ufunc loops,
+so the cache is keyed on the thread too: no two threads share a workspace
+(about 256 bytes per cell).
+
 The kernels compute in float64 (CellField guarantees it), where 0-d float64
 constants give a Python float's bits, and write their temporaries in place,
 never into an argument. An in-place update may swap the two operands of one
@@ -39,6 +50,7 @@ the left face changes the last bit of the left values.
 from __future__ import annotations
 
 from functools import lru_cache
+from threading import get_ident
 
 import numpy as np
 
@@ -66,11 +78,41 @@ _THINC_EXP_CAP = 25.0
 _EXP_FLOOR, _EXP_CAP = read_only(-_THINC_EXP_CAP), read_only(_THINC_EXP_CAP)
 
 
-@lru_cache(maxsize=None)
+# weno_z_field's workspaces held at once, over all sizes and threads: a run steps one grid
+# size and a convergence ladder a few (smooth-ladder: 3); past large grids pin little memory.
+WENO_Z_WORKSPACES = 4
+
+
 def _mirrored_index(n: int) -> np.ndarray:
     """weno_z_field's gather index: concat(g, g[::-1]), g the two-ghost-cell line (-2..n+1) % n."""
     line = np.arange(-2, n + 2) % n
     return read_only(np.concatenate((line, line[::-1])))
+
+
+@lru_cache(maxsize=WENO_Z_WORKSPACES)
+def _workspace(n: int, thread: int, kind: type) -> tuple:
+    """weno_z_field's buffers for n cells and every view of them it reads, in its order.
+
+    Made once per (n, thread, array type): a thread never writes another's
+    buffers, and an ndarray subclass (tools/count_calls.py's counter) gets
+    buffers of its own type. Only weno_z_field unpacks the tuple.
+    """
+    index = _mirrored_index(n)
+    m = index.shape[0] - 4  # stencil centres: the right faces, the seam, the left faces
+    line, two, four, five = np.empty((4, m + 4)).view(kind)
+    three_c = np.empty(m).view(kind)  # later 11 q_j
+    curv = np.empty(m + 2).view(kind)  # later tau5, in its first m entries
+    work = np.empty((6, m)).view(kind)  # one allocation: see the module docstring
+    beta, v = work[:3], work[3:]
+    left = slice(2 * n + 3, n + 3, -1)
+    return (
+        index, line, two, four, five, three_c, curv, beta, v, *beta, *v,
+        *(line[k : k + m] for k in range(5)),  # q_{j+k}, k = -2..2
+        line[:-2], two[1:-1], line[2:], curv[:m], curv[1 : 1 + m], curv[2 : 2 + m],
+        four[1 : 1 + m], four[3 : 3 + m], two[:m], two[2 : 2 + m], two[3 : 3 + m],
+        five[2 : 2 + m], five[3 : 3 + m], _linear_weights(m),
+        work[3][left], work[0][left], work[3][:n], work[0][:n],
+    )
 
 
 def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,58 +127,61 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mirrored line concat(g, g[::-1]), g the two-ghost-cell line (one gather):
     position i of the result is cell i's right face, position n+4+k is cell
     n-1-k's left face, and the 4 positions n..n+3, whose stencils straddle
-    the seam between the two halves, are computed and ignored. Temporaries
-    are updated in place; every operation keeps its operands, at most
-    swapping the two of one + or *.
+    the seam between the two halves, are computed and ignored. Every
+    intermediate is written with out= into the cached workspace of this grid
+    size and thread (_workspace), so a call allocates only its two results;
+    every operation keeps its operands, at most swapping the two of one + or *.
 
-    Returns (left, right) arrays congruent with `values`.
+    `values` is only read. Any other dtype is first converted to float64,
+    as the float64 constants would promote it anyway.
+
+    Returns (left, right), new arrays congruent with `values`.
     """
-    n = values.shape[0]
-    line = values[_mirrored_index(n)]
-    m = line.shape[0] - 4  # stencil centres: the right faces, the seam, the left faces
-    two, four, five = _TWO * line, _FOUR * line, _FIVE * line
-    qm2, qm1, q0, qp1, qp2 = (line[k : k + m] for k in range(5))  # q_{j+k}, k = -2..2
-    three_c = _THREE * q0
+    values = values.astype(np.float64, copy=False)  # no copy for a CellField's averages
+    (index, line, two, four, five, three_c, curv, beta, v, b0, b1, b2, v0, v1, v2,
+     qm2, qm1, q0, qp1, qp2, line_lo, two_mid, line_hi, curv0, curv1, curv2,
+     four1, four3, two0, two2, two3, five2, five3, weights,
+     v0_left, b0_left, v0_right, b0_right) = _workspace(values.shape[0], get_ident(), type(values))
+    # views named x<k> (four1, curv0, ...) are x[k : k + m]
+    values.take(index, out=line, mode="clip")  # "clip" writes straight into line; none clips
+    np.multiply(_TWO, line, out=two)
+    np.multiply(_FOUR, line, out=four)
+    np.multiply(_FIVE, line, out=five)
+    np.multiply(_THREE, q0, out=three_c)
 
     # 13/12 (q_{k-1} - 2 q_k + q_{k+1})^2 for every centre k; beta_0..beta_2
     # read it at the sub-stencil centres j-1, j, j+1.
-    curv = line[:-2] - two[1:-1]
-    curv += line[2:]
+    np.subtract(line_lo, two_mid, out=curv)
+    curv += line_hi
     np.square(curv, out=curv)
     curv *= _THIRTEEN_TWELFTHS
 
-    work = np.empty_like(two, shape=(6, m))  # one allocation: see the module docstring
-    beta, v = work[:3], work[3:]
-    b0, b1, b2 = beta
-    np.subtract(qm2, four[1 : 1 + m], out=b0)
+    np.subtract(qm2, four1, out=b0)
     b0 += three_c
     np.subtract(qm1, qp1, out=b1)
-    np.subtract(three_c, four[3 : 3 + m], out=b2)
+    np.subtract(three_c, four3, out=b2)
     b2 += qp2
     np.square(beta, out=beta)
     beta *= _QUARTER
-    b0 += curv[:m]
-    b1 += curv[1 : 1 + m]
-    b2 += curv[2 : 2 + m]
-    del four, three_c, curv  # dead from here on; freeing them lowers the peak
+    b0 += curv0
+    b1 += curv1
+    b2 += curv2
 
     # beta_k becomes the unnormalised weight a_k = d_k (1 + tau5 / (beta_k + eps)).
-    tau5 = b0 - b2
+    tau5 = np.subtract(b0, b2, out=curv0)
     np.abs(tau5, out=tau5)
     beta += WENO_Z_EPS
     np.divide(tau5, beta, out=beta)  # tau5 broadcast: less than three row calls at N <= 200
     beta += _ONE
-    beta *= _linear_weights(m)
-    del tau5
+    beta *= weights
 
-    v0, v1, v2 = v
     np.multiply(_SEVEN, qm1, out=v0)
-    np.subtract(two[:m], v0, out=v0)
-    v0 += _ELEVEN * q0
+    np.subtract(two0, v0, out=v0)
+    v0 += np.multiply(_ELEVEN, q0, out=three_c)
     np.negative(qm1, out=v1)
-    v1 += five[2 : 2 + m]
-    v1 += two[3 : 3 + m]
-    np.add(two[2 : 2 + m], five[3 : 3 + m], out=v2)
+    v1 += five2
+    v1 += two3
+    np.add(two2, five3, out=v2)
     v2 -= qp2
     v /= _SIX
     v *= beta
@@ -144,13 +189,11 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v0 += v2
     b0 += b1
     b0 += b2
-    left = slice(2 * n + 3, n + 3, -1)
-    return v0[left] / b0[left], v0[:n] / b0[:n]
+    return v0_left / b0_left, v0_right / b0_right
 
 
-@lru_cache(maxsize=None)
 def _linear_weights(m: int) -> np.ndarray:
-    """The linear weights d_0..d_2 as the rows of a read-only (3, m) array, made once per m."""
+    """The linear weights d_0..d_2 as the rows of a read-only (3, m) array."""
     return read_only(np.repeat(np.array([[0.1], [0.6], [0.3]]), m, axis=1))
 
 

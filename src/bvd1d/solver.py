@@ -46,8 +46,9 @@ class FluxSpec:
 class SchemeConfig:
     """Spatial scheme selection: candidate parameters plus the hybridization rule.
 
-    Each parameter is checked here, once. The stage kernels read beta, delta and
-    s_cutoff as the read-only 0-d operands built below, once per config (see reconstruct).
+    Each parameter is checked here, once; a bool is not a number here (True would run as 1).
+    The stage kernels read beta, delta and s_cutoff as the read-only 0-d float64 operands
+    built below, once per config (see reconstruct), whatever number type they came as.
     """
 
     scheme: str = "wenoz"
@@ -58,6 +59,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        if any(isinstance(x, (bool, np.bool_)) for x in (self.beta, self.delta, self.s_cutoff)):
+            raise ValueError("beta, delta and s_cutoff must be numbers, not bools")
         with np.errstate(over="ignore"):  # cosh(beta) overflows past beta = 710.4758...
             cosh_beta = np.cosh(self.beta)
         if not (self.beta > 0.0 and cosh_beta < np.inf):  # else THINC's faces turn NaN
@@ -71,7 +74,7 @@ class SchemeConfig:
             ("delta_low", self.delta), ("delta_high", 1.0 - self.delta),
             ("s_cutoff_array", self.s_cutoff),
         ):
-            object.__setattr__(self, name, read_only(value))
+            object.__setattr__(self, name, read_only(np.float64(value)))
 
 
 @dataclass(frozen=True)

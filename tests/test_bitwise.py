@@ -188,6 +188,12 @@ def test_scheme_operands_built_once_per_config():
     changed = dataclasses.replace(config, beta=3.0, delta=0.2, s_cutoff=7.0)
     for name, value in zip(OPERANDS, (3.0, np.cosh(3.0), np.tanh(3.0), 0.2, 0.8, 7.0)):
         assert vars(changed)[name].tobytes() == np.float64(value).tobytes(), name
+    # integer parameters build the same float64 operands as their float values
+    integer = SchemeConfig("bvd3", beta=4, s_cutoff=5)
+    real = SchemeConfig("bvd3", beta=4.0, s_cutoff=5.0)
+    for name in OPERANDS:
+        assert getattr(integer, name).dtype == np.float64, name
+        assert getattr(integer, name).tobytes() == getattr(real, name).tobytes(), name
 
 
 def extreme_fields(n: int, count: int = 6) -> list[np.ndarray]:

@@ -17,17 +17,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bvd1d import reconstruct
 from bvd1d.solver import SCHEMES
 
 ROOT = Path(__file__).resolve().parents[1]
 MEASURED_WITH = "2.4.6"
 # scheme: (numpy calls, slicings, elements written) of one RK stage at N = 25
 STAGE_COUNTS = {
-    "wenoz": (52, 33, 3398),
-    "bvd1": (127, 39, 5399),
-    "bvd2": (117, 39, 5149),
-    "bvd3": (140, 43, 5925),
-    "bvd4": (110, 39, 4974),
+    "wenoz": (52, 2, 3398),
+    "bvd1": (127, 8, 5399),
+    "bvd2": (117, 8, 5149),
+    "bvd3": (142, 17, 5825),
+    "bvd4": (110, 8, 4974),
 }
 ON_MEASURED_NUMPY = pytest.mark.skipif(
     np.__version__ != MEASURED_WITH, reason=f"counts were measured under numpy {MEASURED_WITH}")
@@ -76,3 +77,26 @@ def test_counter_sees_copies_and_tells_masked_copyto_from_putmask(count_calls):
     assert (counted.calls, counted.masked_copies) == (3, 0)
     np.copyto(buffer, values, where=mask)
     assert (counted.calls, counted.masked_copies) == (4, 1)
+
+
+def test_counter_sees_a_take_into_a_buffer(count_calls):
+    # weno_z_field gathers its line with the take method, which no numpy protocol sees
+    values = np.arange(4.0).view(count_calls.Counted)
+    line = np.empty(6).view(count_calls.Counted)
+    count_calls.Counted.reset()
+    assert values.take([3, 0, 1, 2, 3, 0], out=line, mode="clip") is line
+    assert line.tolist() == [3.0, 0.0, 1.0, 2.0, 3.0, 0.0]
+    assert (count_calls.Counted.calls, count_calls.Counted.elements) == (1, 6)
+
+
+def test_counting_leaves_no_counted_workspace(count_calls):
+    # weno_z_field's cached workspace is built from the counted array; none may outlive
+    # the count, or a later plain call would run on counted buffers.
+    reconstruct._workspace.cache_clear()
+    values = np.linspace(0.0, 1.0, 25)
+    before = reconstruct.weno_z_field(values)
+    count_calls.stage_counts("bvd1", 25)
+    assert reconstruct._workspace.cache_info().currsize == 0
+    after = reconstruct.weno_z_field(values)
+    assert all(type(x) is np.ndarray for x in after)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

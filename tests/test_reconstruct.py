@@ -1,9 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import roll_reference as ref
+from bvd1d import reconstruct
 from bvd1d.field import Grid1D
 from bvd1d.reconstruct import (
-    THINC_EPS, jump_position, thinc_admissible_field, thinc_field, weno_z_field,
+    THINC_EPS, WENO_Z_WORKSPACES, jump_position, thinc_admissible_field, thinc_field,
+    weno_z_field,
 )
 from bvd1d.solver import SchemeConfig
 
@@ -88,6 +95,78 @@ class TestWenoZ:
         for i in range(12):
             window = values[(np.arange(i - 2, i + 3)) % 12]
             assert weno_z_cell(window) == (left[i], right[i])
+
+
+def same_bytes(pair, expected):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(pair, expected))
+
+
+class TestWenoZWorkspace:
+    """weno_z_field writes into a workspace cached per grid size and thread."""
+
+    # More sizes than the cache holds: N = 1-9, narrower and wider than the stencil, and 200.
+    SIZES = (*range(1, 10), 200)
+
+    def test_results_are_new_arrays(self):
+        rng = np.random.default_rng(7)
+        first_values, second_values = rng.standard_normal((2, 40))
+        first = weno_z_field(first_values)
+        kept = [face.copy() for face in first]
+        second = weno_z_field(second_values)
+        assert same_bytes(first, kept)
+        assert not same_bytes(first, second)
+        workspace = reconstruct._workspace(40, threading.get_ident(), np.ndarray)
+        for face in (*first, *second):
+            assert not any(np.shares_memory(face, part) for part in workspace)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_other_dtypes_are_converted_first(self, dtype):
+        # the workspace's line is float64; the take into it must not see another dtype
+        values = (np.random.default_rng(9).standard_normal(12) * 100.0).astype(dtype)
+        faces = weno_z_field(values)
+        assert all(face.dtype == np.float64 for face in faces)
+        assert same_bytes(faces, weno_z_field(values.astype(np.float64)))
+
+    def test_threads_never_share_a_workspace(self):
+        # More threads than cores, at a size where numpy releases the GIL inside each
+        # ufunc loop and with a short switch interval, so the threads interleave.
+        n, calls, threads = 4000, 50, 4
+        fields = np.random.default_rng(8).standard_normal((threads, n))
+        expected = [weno_z_field(values) for values in fields]
+        mismatches, done = [0] * threads, [0] * threads
+        start = threading.Barrier(threads)
+
+        def run(k):
+            start.wait()
+            for _ in range(calls):
+                mismatches[k] += not same_bytes(weno_z_field(fields[k]), expected[k])
+                done[k] += 1
+
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert done == [calls] * threads
+        assert mismatches == [0] * threads
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(SIZES), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    def test_every_size_matches_the_roll_reference(self, sizes, seed):
+        # Every size runs between the two passes over `sizes`, so each size of the
+        # second pass finds its workspace evicted and builds it again.
+        assert len(self.SIZES) > WENO_Z_WORKSPACES
+        rng = np.random.default_rng(seed)
+        for n in (*sizes, *self.SIZES, *sizes):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+            assert same_bytes(weno_z_field(values), ref.weno_z_field(values))
+        assert reconstruct._workspace.cache_info().currsize <= WENO_Z_WORKSPACES
 
 
 class TestThinc:

@@ -157,6 +157,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SchemeConfig(scheme="bvd4", **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(beta=True), dict(beta=np.True_), dict(delta=True), dict(s_cutoff=True),
+         dict(s_cutoff=np.True_)],
+    )
+    def test_bool_parameters_rejected(self, kwargs):
+        # as Grid1D rejects a bool n_cells: True would run as 1 with a bool operand
+        with pytest.raises(ValueError, match="bool"):
+            SchemeConfig(scheme="bvd1", **kwargs)
+
     def test_beta_needs_a_finite_cosh(self):
         # cosh overflows between 710 and 711; beyond, THINC's faces are NaN.
         assert np.isfinite(SchemeConfig(beta=710.0).cosh_beta)

@@ -14,11 +14,16 @@ stage looks the layers up by, as perfbench/tracing.py wraps them, plus bvd's
 jump_position. A ufunc call (__array_ufunc__, reductions such as .sum()
 included) or a numpy function call (__array_function__) that receives a
 counted array counts once, at the outermost level only: the ufuncs np.stack
-runs inside itself do not count. The copy method of a counted array counts
-as a call too, like np.copy. Slicing and indexing (__getitem__) are counted
-separately. A buffer a kernel allocates must come from a counted array
-(np.empty_like(two, shape=(6, m)), not np.empty), or the calls on it go
-unseen.
+runs inside itself do not count. The copy and take methods of a counted
+array count as calls too, like np.copy and np.take. Slicing and indexing
+(__getitem__) are counted separately. A buffer a kernel allocates must come
+from a counted array (np.empty_like(values, shape=(4, n)), not np.empty), or
+the calls on it go unseen. reconstruct.weno_z_field keeps its buffers in a
+workspace cached per grid size, thread and array type, so a counted array
+gets counted buffers: each count clears that cache, runs one stage uncounted
+to build the workspace, counts the next, and clears the cache again. So the
+counts are a stage's in a run's steady state, and no counted buffer outlives
+them.
 
 Four more tallies ride along:
 - elements: the size of every array a counted call returns or writes (out=
@@ -41,7 +46,7 @@ Caveats:
   are a proxy for a stage's time, not a timer: exp and divide cost more per
   element than add. Like the calls, they support a speed claim but do not
   replace timing it.
-- Methods that bypass both protocols, such as astype and take, calls on
+- Methods that bypass both protocols, such as astype, calls on
   arrays that never meet a counted array, and Python-level work are not
   counted.
 - The counts depend on numpy's version, which is printed with them.
@@ -55,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from bvd1d import bvd, solver
+from bvd1d import bvd, reconstruct, solver
 from bvd1d.experiments import PROFILES
 from bvd1d.field import Grid1D, project_initial
 
@@ -119,6 +124,10 @@ class Counted(np.ndarray):
 
     def copy(self, *args, **kwargs):
         return _wrap(_counted_call(_plain(self).copy, (), *args, **kwargs))
+
+    def take(self, indices, axis=None, out=None, mode="raise"):
+        result = _counted_call(_plain(self).take, (), indices, axis, _plain(out), mode)
+        return out if out is not None else _wrap(result)
 
     def __getitem__(self, key):
         # counted once it succeeds: tuple unpacking probes one index past the end
@@ -196,12 +205,24 @@ def stage_counts(scheme: str, n_cells: int) -> tuple[Tally, dict[str, Tally]]:
     profile = PROFILES["complex_waves"]
     grid = Grid1D(n_cells, profile.x_left, profile.x_right)
     values = project_initial(grid, profile.func).averages.view(Counted)
-    config, flux = solver.SchemeConfig(scheme), solver.FluxSpec()
+    config, flux, dx = solver.SchemeConfig(scheme), solver.FluxSpec(), np.array(grid.dx)
     layers: dict[str, Tally] = {}
-    Counted.reset()
-    with counting_layers(layers):
-        solver._rhs_values(values, np.array(grid.dx), config, flux)
+    _clear_workspaces()
+    try:
+        solver._rhs_values(values, dx, config, flux)  # builds the counted workspace
+        Counted.reset()
+        with counting_layers(layers):
+            solver._rhs_values(values, dx, config, flux)
+    finally:
+        _clear_workspaces()
     return Counted.tally(), layers
+
+
+def _clear_workspaces() -> None:
+    # tools/bench_summary.py also counts a parent checkout, which may predate the cache
+    workspace = getattr(reconstruct, "_workspace", None)
+    if workspace is not None:
+        workspace.cache_clear()
 
 
 def _cell(count: Tally | None) -> str:

@@ -54,17 +54,16 @@ MUTANTS = (
     (RECONSTRUCT, "_THINC_EXP_CAP = 25.0", "_THINC_EXP_CAP = 20.0"),
     (RECONSTRUCT, "np.where(denom > _ZERO, denom, scaled)", "np.where(denom >= _ZERO, denom, scaled)"),
     (RECONSTRUCT, "admissible &= rise > _ZERO", "admissible &= rise >= _ZERO"),
-    (RECONSTRUCT, "    b1 += curv[1 : 1 + m]\n", ""),
+    (RECONSTRUCT, "    b1 += curv1\n", ""),
     (RECONSTRUCT, "    right += tb\n", ""),
-    (RECONSTRUCT, "np.subtract(qm2, four[1 : 1 + m], out=b0)",
-     "np.subtract(four[1 : 1 + m], qm2, out=b0)"),
-    (RECONSTRUCT, "np.subtract(two[:m], v0, out=v0)", "np.subtract(v0, two[:m], out=v0)"),
+    (RECONSTRUCT, "np.subtract(qm2, four1, out=b0)", "np.subtract(four1, qm2, out=b0)"),
+    (RECONSTRUCT, "np.subtract(two0, v0, out=v0)", "np.subtract(v0, two0, out=v0)"),
     (RECONSTRUCT, "position = values - qmin", "position = qmin - values"),
     (RECONSTRUCT, "theta = qp - qm", "theta = qm - qp"),
     (RECONSTRUCT, "a = scaled - _ONE", "a = _ONE - scaled"),
     (RECONSTRUCT, "rise = qp - values", "rise = values - qp"),
     (RECONSTRUCT, "qm, qp = values[shift_index(n, -1)]", "qm, qp = values[shift_index(n, 1)]"),
-    (BVD, "averages - averages[prv]", "averages - averages[nxt]"),
+    (BVD, "np.subtract(averages, averages[prv]", "np.subtract(averages, averages[nxt]"),
     (EXPERIMENTS, "np.where(values <= 0.1, -1, np.where(values >= 0.9, 1, 0))",
      "np.where(values < 0.1, -1, np.where(values > 0.9, 1, 0))"),
     (SOLVER, '("delta_low", self.delta), ("delta_high", 1.0 - self.delta)',
