@@ -7,9 +7,10 @@ Since the dissipation term of the interface flux is proportional to that
 jump, shrinking it where a discontinuity lives removes most of the smearing
 while leaving smooth regions to the high-order polynomial.
 
-Face indexing convention: face j is x_{j+1/2}, sitting between cell j and
-cell (j+1) % n. All per-face arrays use this layout. A cell's neighbour
-across face j-1 or j is one gather through a cached index,
+Layout: every array a selector takes or returns is per cell (CandidateSet's
+candidate pairs, SelectionResult's chosen pair); solver._rhs alone pairs cell
+j's right value with cell (j+1) % n's left value at face j, x_{j+1/2}. A
+neighbour across face j-1 or j is one gather through a cached index,
 x[field.shift_index(n, -1)] or x[field.shift_index(n, 1)], into a new array.
 bvd1 and bvd2 read the BV from _face_jumps, and bvd4 evaluates its WW and TT
 jumps the same way: each face's signed jump is evaluated once per candidate
@@ -52,18 +53,17 @@ class CandidateSet:
 
 @dataclass
 class SelectionResult:
-    """Outcome of one selector pass.
+    """Outcome of one selector pass, per cell like CandidateSet.
 
     omega is the per-cell THINC fraction: 0 is pure WENO, 1 pure THINC;
-    the blending selector may produce intermediate values. face_left and
-    face_right are the interface states q^L, q^R at face j (no further
-    limiting is applied to them). n_clamped counts cells whose raw blend
-    weight fell outside [0, 1] before clamping.
+    the blending selector may produce intermediate values. left and right
+    are each cell's chosen boundary values, not limited further. n_clamped
+    counts cells whose raw blend weight fell outside [0, 1] before clamping.
     """
 
     omega: np.ndarray
-    face_left: np.ndarray
-    face_right: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     n_clamped: int = 0
 
     @property
@@ -96,27 +96,22 @@ def _face_jumps(candidates: CandidateSet) -> tuple[np.ndarray, ...]:
 def assemble_interfaces(
     omega: np.ndarray, candidates: CandidateSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Interface states from per-cell blend weights.
-
-    q^L at face j is the blended right-boundary value of cell j; q^R is the
-    blended left-boundary value of cell j+1 (periodic wrap).
-    """
+    """Each cell's blended (left, right) boundary pair from its blend weight."""
     weno_share = _ONE - omega
-    left_of_cell = omega * candidates.thinc_left
-    left_of_cell += weno_share * candidates.weno_left
-    right_of_cell = omega * candidates.thinc_right
-    right_of_cell += weno_share * candidates.weno_right
-    return right_of_cell, left_of_cell[shift_index(omega.shape[0], 1)]
+    left = omega * candidates.thinc_left
+    left += weno_share * candidates.weno_left
+    right = omega * candidates.thinc_right
+    right += weno_share * candidates.weno_right
+    return left, right
 
 
 def _discrete_result(use_thinc: np.ndarray, candidates: CandidateSet) -> SelectionResult:
     """Result for the either/or selectors, using exact array picks."""
-    face_left = candidates.weno_right.copy()
-    np.putmask(face_left, use_thinc, candidates.thinc_right)
-    cell_left = candidates.weno_left.copy()
-    np.putmask(cell_left, use_thinc, candidates.thinc_left)
-    face_right = cell_left[shift_index(use_thinc.shape[0], 1)]
-    return SelectionResult(use_thinc.astype(float), face_left, face_right)
+    left = candidates.weno_left.copy()
+    np.putmask(left, use_thinc, candidates.thinc_left)
+    right = candidates.weno_right.copy()
+    np.putmask(right, use_thinc, candidates.thinc_right)
+    return SelectionResult(use_thinc.astype(float), left, right)
 
 
 def bvd1_select(candidates: CandidateSet) -> SelectionResult:
@@ -212,8 +207,7 @@ def bvd3_select(candidates: CandidateSet, averages: np.ndarray, scheme) -> Selec
     omega = np.where(blend, np.minimum(np.maximum(raw, _ZERO), _ONE), _ZERO)
     n_clamped = int(np.count_nonzero(blend & ((raw < _ZERO) | (raw > _ONE))))
 
-    face_left, face_right = assemble_interfaces(omega, candidates)
-    return SelectionResult(omega, face_left, face_right, n_clamped=n_clamped)
+    return SelectionResult(omega, *assemble_interfaces(omega, candidates), n_clamped=n_clamped)
 
 
 def bvd4_select(candidates: CandidateSet) -> SelectionResult:

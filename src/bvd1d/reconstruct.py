@@ -31,8 +31,8 @@ every stencil and offset view weno_z_field reads form one workspace per grid
 size, made on the first call and cached: a call is one gather and ufunc calls
 with out=, with no slicing, allocation or row unpacking (23.0 -> 16.6 us at
 N = 50, 28.9 -> 22.2 us at N = 200, 93 -> 91 us at N = 2000). Its two results
-stay new arrays, as solver.select hands the right faces on as face_left and a
-bvd.CandidateSet keeps both. numpy releases the GIL inside large ufunc loops,
+stay new arrays, as solver.select's SelectionResult and a bvd.CandidateSet
+keep both. numpy releases the GIL inside large ufunc loops,
 so the cache is keyed on the thread too: no two threads share a workspace
 (about 256 bytes per cell).
 

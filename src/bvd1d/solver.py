@@ -130,16 +130,13 @@ def riemann_flux(q_left, q_right, spec: FluxSpec):
 
 
 def select(values: np.ndarray, scheme: SchemeConfig) -> SelectionResult:
-    """The scheme's interface states and per-cell THINC weights on the given data.
+    """The scheme's per-cell boundary pairs and THINC weights on the given data.
 
     wenoz takes WENO-Z's faces with omega = 0; a BVD scheme builds both
     candidates and applies its selection rule.
     """
     if scheme.scheme == "wenoz":
-        left_of_cell, right_of_cell = weno_z_field(values)
-        return SelectionResult(
-            np.zeros(values.shape[0]), right_of_cell, left_of_cell[shift_index(values.shape[0], 1)]
-        )
+        return SelectionResult(np.zeros(values.shape[0]), *weno_z_field(values))
     candidates = build_candidates(values, scheme)
     if scheme.scheme == "bvd3":
         return bvd3_select(candidates, values, scheme)
@@ -150,18 +147,13 @@ def _rhs(
     values: np.ndarray, dx: np.ndarray, scheme: SchemeConfig, flux: FluxSpec
 ) -> tuple[np.ndarray, SelectionResult]:
     sel = select(values, scheme)
-    face_flux = riemann_flux(sel.face_left, sel.face_right, flux)
-    flux_in = face_flux[shift_index(values.shape[0], -1)]  # face j-1, the cell's left face
+    n = values.shape[0]
+    face_flux = riemann_flux(sel.right, sel.left[shift_index(n, 1)], flux)  # q^L, q^R at face j
+    flux_in = face_flux[shift_index(n, -1)]  # face j-1, the cell's left face
     dqdt = face_flux - flux_in
     np.negative(dqdt, out=dqdt)
     dqdt /= dx
     return dqdt, sel
-
-
-def _rhs_values(values, dx, scheme: SchemeConfig, flux: FluxSpec) -> tuple[np.ndarray, int, int]:
-    """_rhs with its selection's THINC and clamped cell counts."""
-    dqdt, sel = _rhs(values, dx, scheme, flux)
-    return dqdt, sel.thinc_cells, sel.n_clamped
 
 
 def _ssp_rk3_values(
@@ -175,7 +167,8 @@ def _ssp_rk3_values(
     Each stage's RHS array is owned here, so the combination is written
     into it in place, with the operands and order of the Shu-Osher formulas.
     """
-    u1, n_thinc, n_clamped = _rhs_values(values, dx, scheme, flux)
+    u1, sel = _rhs(values, dx, scheme, flux)
+    n_thinc, n_clamped = sel.thinc_cells, sel.n_clamped
     u1 *= dt
     u1 += values  # u1 = values + dt * k1
     u2, sel = _rhs(u1, dx, scheme, flux)

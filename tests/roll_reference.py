@@ -2,7 +2,9 @@
 
 These are the kernels, selectors, interface assembly and stage RHS as they
 stood before the package moved to ghost-cell slicing, copied statement for
-statement (docstrings dropped).
+statement (docstrings dropped). They return their own SelectionResult, in
+the per-face layout they were written with, so that a change to the
+package's record cannot break the reference.
 tests/test_bitwise.py requires the package to reproduce them bit for bit,
 so any rewrite that changes an operation or its operand order shows up as a
 last-bit difference here before it grows into a 1e-10 drift of the
@@ -11,9 +13,11 @@ one-period averages.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from bvd1d.bvd import BVD3_EPS, CandidateSet, SelectionResult
+from bvd1d.bvd import BVD3_EPS, CandidateSet
 from bvd1d.reconstruct import THINC_EPS, WENO_Z_EPS
 from bvd1d.solver import SchemeConfig
 
@@ -90,6 +94,21 @@ def thinc_admissible_field(
 
 
 # --- bvd.py ---------------------------------------------------------------
+
+
+@dataclass
+class SelectionResult:
+    """The selectors' result in this reference's per-face layout: face_left and
+    face_right are q^L and q^R at face j, between cell j and cell j+1."""
+
+    omega: np.ndarray
+    face_left: np.ndarray
+    face_right: np.ndarray
+    n_clamped: int = 0
+
+    @property
+    def thinc_cells(self) -> int:
+        return int(np.count_nonzero(self.omega))
 
 
 def build_candidates(

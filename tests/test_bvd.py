@@ -97,9 +97,9 @@ class TestBvd1:
         interior_cells = range(3, n - 3)
         for i in interior_cells:
             assert sel.omega[i] == 0.0
-        for j in range(3, n - 4):  # faces untouched by the wrap crest
-            assert sel.face_left[j] == pytest.approx(values[j] + 0.5, abs=1e-12)
-            assert sel.face_right[j] == pytest.approx(values[j] + 0.5, abs=1e-12)
+        for j in range(3, n - 4):  # faces untouched by the wrap crest: q^L, then q^R
+            assert sel.right[j] == pytest.approx(values[j] + 0.5, abs=1e-12)
+            assert sel.left[j + 1] == pytest.approx(values[j] + 0.5, abs=1e-12)
 
     def test_step_straddle_cell_takes_thinc(self):
         cs = build_candidates(smeared_step(), CONFIG)
@@ -115,7 +115,7 @@ class TestBvd2:
         cs = build_candidates(np.full(12, 3.25), CONFIG)
         sel = bvd2_select(cs)
         assert tags_of(sel) == ["W"] * 12
-        assert np.all(sel.face_left == sel.face_right)
+        assert np.all(sel.right == np.roll(sel.left, -1))
 
     def test_step_straddle_cell_takes_thinc(self):
         cs = build_candidates(smeared_step(), CONFIG)
@@ -147,7 +147,7 @@ class TestBvd3:
         cs.thinc_right[:] = cs.weno_right
         sel = bvd3_select(cs, values, CONFIG)
         assert np.all(sel.omega == 0.0)
-        assert np.array_equal(sel.face_left, weno_z_field(values)[1])
+        assert np.array_equal(sel.right, weno_z_field(values)[1])
 
     def test_step_cell_weight_matches_scan_minimum(self):
         values = smeared_step()
@@ -242,8 +242,8 @@ class TestSharedProperties:
         else:
             sel = SELECTORS[name](cs)
         wl, wr = weno_z_field(values)
-        assert np.array_equal(sel.face_left, wr)
-        assert np.array_equal(sel.face_right, np.roll(wl, -1))
+        assert np.array_equal(sel.left, wl)
+        assert np.array_equal(sel.right, wr)
 
     @pytest.mark.parametrize("name", ["bvd1", "bvd2", "bvd3", "bvd4"])
     def test_selection_is_deterministic(self, name):
@@ -255,8 +255,8 @@ class TestSharedProperties:
         else:
             first, second = SELECTORS[name](cs), SELECTORS[name](cs)
         assert np.array_equal(first.omega, second.omega)
-        assert np.array_equal(first.face_left, second.face_left)
-        assert np.array_equal(first.face_right, second.face_right)
+        assert np.array_equal(first.left, second.left)
+        assert np.array_equal(first.right, second.right)
 
     @pytest.mark.parametrize("name", ["bvd1", "bvd2", "bvd3", "bvd4"])
     def test_omega_stays_in_unit_interval(self, name):
@@ -277,24 +277,24 @@ class TestAssembleInterfaces:
         omega = np.zeros(10)
         omega[4] = 1.0
         one_left, one_right = assemble_interfaces(omega, cs)
-        # face 4 carries cell 4's right value; face 3 carries its left value
+        # cell 4's left value meets face 3 and its right value face 4
         changed_left = np.nonzero(one_left != all_weno_left)[0]
         changed_right = np.nonzero(one_right != all_weno_right)[0]
         assert set(changed_left) <= {4}
-        assert set(changed_right) <= {3}
+        assert set(changed_right) <= {4}
 
     def test_full_blend_equals_discrete_thinc_pick(self):
         rng = np.random.RandomState(15)
         values = rng.uniform(-1.0, 1.0, 10)
         cs = build_candidates(values, CONFIG)
         blended = assemble_interfaces(np.ones(10), cs)
-        assert np.array_equal(blended[0], cs.thinc_right)
-        assert np.array_equal(blended[1], np.roll(cs.thinc_left, -1))
+        assert np.array_equal(blended[0], cs.thinc_left)
+        assert np.array_equal(blended[1], cs.thinc_right)
 
     def test_blend_endpoint_matches_bvd4_tagged_cell(self):
         values = smeared_step()
         cs = build_candidates(values, CONFIG)
         discrete = bvd4_select(cs)
         blended = assemble_interfaces(discrete.omega, cs)
-        assert np.array_equal(blended[0], discrete.face_left)
-        assert np.array_equal(blended[1], discrete.face_right)
+        assert np.array_equal(blended[0], discrete.left)
+        assert np.array_equal(blended[1], discrete.right)

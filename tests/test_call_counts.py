@@ -1,7 +1,7 @@
 """Each scheme's numpy calls (+ slicings) and elements written per RK stage, pinned.
 
-tools/count_calls.py counts one solver._rhs_values per scheme; the counts do
-not drift with the host's speed. The calls and slicings are the same at
+tools/count_calls.py counts one solver._rhs per scheme, with its selection's
+THINC cell count as the first RK stage reads it; the counts do not drift with the host's speed. The calls and slicings are the same at
 N = 25, 200 and 2000, and the elements grow with N, so the cheapest size
 stands for all three. A rise or a fall fails here and is then recorded:
 update STAGE_COUNTS together with the change that moved it. No call on the

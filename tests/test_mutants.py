@@ -2,7 +2,8 @@
 
 Each mutant is a literal (file, old, new) edit; when the code moves, an
 `old` that no longer occurs, or occurs twice, would silently mutate nothing
-or the wrong line. Running the mutants themselves takes minutes and stays
+or the wrong line. The mutants' labels are the test ids, so restating an
+`old` renames no test. Running the mutants themselves takes minutes and stays
 outside tier-1.
 """
 
@@ -21,7 +22,14 @@ def load_mutants():
     return module.MUTANTS
 
 
-@pytest.mark.parametrize("path, old, new", load_mutants())
+MUTANTS = load_mutants()
+
+
+def test_mutant_labels_are_unique():
+    assert len({label for label, *_ in MUTANTS}) == len(MUTANTS)
+
+
+@pytest.mark.parametrize("path, old, new", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
 def test_each_mutant_edits_exactly_one_site(path, old, new):
     assert old != new
     assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1

@@ -73,7 +73,7 @@ def test_flux_and_stages_leave_inputs_unchanged(scheme, label, values):
     config, flux = SchemeConfig(scheme), FluxSpec()
     q_left, q_right = reconstruct.weno_z_field(values)
     assert_leaves_inputs_unchanged(solver.riemann_flux, q_left, q_right, flux)
-    assert_leaves_inputs_unchanged(solver._rhs_values, values, 0.01, config, flux)
+    assert_leaves_inputs_unchanged(solver._rhs, values, 0.01, config, flux)
     assert_leaves_inputs_unchanged(solver._ssp_rk3_values, values, 0.001, 0.01, config, flux)
 
 
@@ -88,15 +88,15 @@ def test_arrays_updated_in_place_own_their_memory(label, values):
     for name in ("bvd1", "bvd2", "bvd3", "bvd4"):
         args = (candidates, values, CONFIG) if name == "bvd3" else (candidates,)
         sel = bvd.SELECTORS[name](*args)
-        for face in (sel.face_left, sel.face_right):
-            assert not any(np.shares_memory(face, a) for a in arrays_of([candidates]))
-        face_flux = solver.riemann_flux(sel.face_left, sel.face_right, FluxSpec())
-        assert not np.shares_memory(face_flux, sel.face_left)
-        assert not np.shares_memory(face_flux, sel.face_right)
+        for boundary in (sel.left, sel.right):
+            assert not any(np.shares_memory(boundary, a) for a in arrays_of([candidates]))
+        face_flux = solver.riemann_flux(sel.right, np.roll(sel.left, -1), FluxSpec())
+        assert not np.shares_memory(face_flux, sel.left)
+        assert not np.shares_memory(face_flux, sel.right)
 
     for scheme in SCHEMES:
         config = SchemeConfig(scheme)
-        dqdt = solver._rhs_values(values, 0.01, config, FluxSpec())[0]
+        dqdt = solver._rhs(values, 0.01, config, FluxSpec())[0]
         assert not np.shares_memory(dqdt, values)
         updated = solver._ssp_rk3_values(values, 0.001, 0.01, config, FluxSpec())[0]
         assert not np.shares_memory(updated, values)

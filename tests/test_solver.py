@@ -13,7 +13,7 @@ from bvd1d.solver import (
     FluxSpec,
     SchemeConfig,
     TimeConfig,
-    _rhs_values,
+    _rhs,
     advect,
     riemann_flux,
     select,
@@ -32,7 +32,7 @@ def make_field(values, x_left=-1.0, x_right=1.0):
 
 def rhs(field, scheme, flux):
     """Semi-discrete time derivative of the cell averages."""
-    return _rhs_values(field.averages, field.grid.dx, scheme, flux)[0]
+    return _rhs(field.averages, field.grid.dx, scheme, flux)[0]
 
 
 def rk3_step(field, dt, scheme, flux):
@@ -102,8 +102,8 @@ class TestSelect:
             for beta in (1.8, 4.0):
                 sel = select(values, SchemeConfig(scheme, beta=beta))
                 assert not sel.omega.any()
-                assert np.array_equal(sel.face_left, wenoz.face_left)
-                assert np.array_equal(sel.face_right, wenoz.face_right)
+                assert np.array_equal(sel.left, wenoz.left)
+                assert np.array_equal(sel.right, wenoz.right)
 
     def test_one_jump_position_per_bvd_stage(self, monkeypatch):
         jumps, gathers = [], []
@@ -121,7 +121,7 @@ class TestSelect:
         values = np.repeat([0.0, 1.0, 0.25, 0.75], 10) + np.linspace(0.0, 0.1, 40)
         for scheme in ALL_SCHEMES[1:]:
             jumps.clear()
-            _rhs_values(values, 0.05, SchemeConfig(scheme), FluxSpec())
+            _rhs(values, 0.05, SchemeConfig(scheme), FluxSpec())
             assert len(jumps) == 1, scheme
         gathers.clear()
         jump = jump_position(values)

@@ -12,10 +12,11 @@ pairs the change was better. Under "per_layer" it records, for each per-layer
 metric, the parent's and the change's median over their --trace 1 runs of
 that workload. Under "calls_per_stage" it records each checkout's numpy
 calls, slicings, elements written, calls with a float operand and masked
-copyto calls per RK stage, per scheme and per N of tools/count_calls.py,
-which runs in a subprocess on the checkout's src/. With --stage-us, the
-output of tools/stage_us.py on the same two checkouts (each scheme's stage
-time, before and after, per N) goes in under "stage_us".
+copyto calls per RK stage, per scheme and per N, counted by the checkout's
+own tools/count_calls.py in a subprocess on the checkout's src/, so each
+tree is counted by the counter its pins were made with. With --stage-us,
+the output of tools/stage_us.py on the same two checkouts (each scheme's
+stage time, before and after, per N) goes in under "stage_us".
 The provenance adds what the result files leave out: numpy's
 kernel dispatch for exp and power, and the OpenBLAS core. Nothing in bvd1d
 imports this script.
@@ -67,8 +68,9 @@ def paired(before: list[float], after: list[float], lower: bool = True) -> dict:
 
 
 def stage_call_counts(checkout: Path) -> dict[str, dict[str, dict[str, int]]]:
-    """{scheme: {N: count_calls.Tally as a dict}} of one RK stage of the checkout's bvd1d."""
-    paths = [str(checkout.resolve() / "src"), str(Path(__file__).resolve().parent)]
+    """{scheme: {N: count_calls.Tally as a dict}} of one RK stage of the checkout's bvd1d,
+    counted by the checkout's own tools/count_calls.py."""
+    paths = [str(checkout.resolve() / "src"), str(checkout.resolve() / "tools")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run([sys.executable, "-c", COUNT_CALLS_CHILD], env=env, check=True,
                           capture_output=True, text=True)

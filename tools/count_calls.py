@@ -4,10 +4,10 @@ Usage (from the repository root):
 
     PYTHONPATH=src python tools/count_calls.py
 
-Each scheme runs one solver._rhs_values (the first RK stage, which alone
-also counts the THINC cells) on the complex-wave profile at N = 25, 200 and
-2000, with the cell averages viewed as a counting ndarray subclass and dx a
-0-d float64 array, as solver.advect passes it. The first table gives each
+Each scheme runs one solver._rhs and reads its selection's THINC cells, as
+the first RK stage (which alone counts them) does, on the complex-wave
+profile at N = 25, 200 and 2000, with the cell averages viewed as a counting
+ndarray subclass and dx a 0-d float64 array, as solver.advect passes it. The first table gives each
 stage's totals; then, per N, each layer's inclusive count (a layer's own
 calls plus those of the layers it runs), read by wrappers on the names the
 stage looks the layers up by, as perfbench/tracing.py wraps them, plus bvd's
@@ -200,29 +200,27 @@ def counting_layers(tally: dict[str, Tally]):
             ns[key] = fn
 
 
+def _first_stage(values, dx, config, flux) -> int:
+    """One solver._rhs and its THINC cell count, the work of an RK step's first stage."""
+    return solver._rhs(values, dx, config, flux)[1].thinc_cells
+
+
 def stage_counts(scheme: str, n_cells: int) -> tuple[Tally, dict[str, Tally]]:
-    """The Tally of one _rhs_values on the complex-wave profile, and per layer."""
+    """The Tally of one _first_stage on the complex-wave profile, and per layer."""
     profile = PROFILES["complex_waves"]
     grid = Grid1D(n_cells, profile.x_left, profile.x_right)
     values = project_initial(grid, profile.func).averages.view(Counted)
     config, flux, dx = solver.SchemeConfig(scheme), solver.FluxSpec(), np.array(grid.dx)
     layers: dict[str, Tally] = {}
-    _clear_workspaces()
+    reconstruct._workspace.cache_clear()
     try:
-        solver._rhs_values(values, dx, config, flux)  # builds the counted workspace
+        _first_stage(values, dx, config, flux)  # builds the counted workspace
         Counted.reset()
         with counting_layers(layers):
-            solver._rhs_values(values, dx, config, flux)
+            _first_stage(values, dx, config, flux)
     finally:
-        _clear_workspaces()
+        reconstruct._workspace.cache_clear()
     return Counted.tally(), layers
-
-
-def _clear_workspaces() -> None:
-    # tools/bench_summary.py also counts a parent checkout, which may predate the cache
-    workspace = getattr(reconstruct, "_workspace", None)
-    if workspace is not None:
-        workspace.cache_clear()
 
 
 def _cell(count: Tally | None) -> str:
