@@ -111,7 +111,7 @@ def _discrete_result(use_thinc: np.ndarray, candidates: CandidateSet) -> Selecti
     np.putmask(left, use_thinc, candidates.thinc_left)
     right = candidates.weno_right.copy()
     np.putmask(right, use_thinc, candidates.thinc_right)
-    return SelectionResult(use_thinc.astype(float), left, right)
+    return SelectionResult(np.asanyarray(use_thinc, np.float64), left, right)
 
 
 def bvd1_select(candidates: CandidateSet) -> SelectionResult:

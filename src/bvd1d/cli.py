@@ -164,7 +164,7 @@ def _cmd_convergence(config: Namespace) -> int:
     print(f"{'N':>6}{'L1':>14}{'order':>8}")
     previous = None
     for n in _CONVERGENCE_LADDER:
-        grid = Grid1D(n, profile.x_left, profile.x_right)
+        grid = Grid1D(n)
         initial = project_initial(grid, profile.func)
         t_end = config.periods * profile.period(1.0)
         # dt ~ dx^(5/3) keeps the 3rd-order time error below the spatial one

@@ -73,12 +73,12 @@ def gaussian_profile(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Profile:
-    """Initial condition on the periodic domain [-1, 1], with its 0-to-1 jump edges."""
+    """Initial condition on Grid1D's default domain [-1, 1], with its 0-to-1 jump edges."""
 
     func: Callable[[np.ndarray], np.ndarray]
     jump_edges: tuple[float, ...] = ()
-    x_left: ClassVar[float] = -1.0
-    x_right: ClassVar[float] = 1.0
+    x_left: ClassVar[float] = Grid1D.x_left
+    x_right: ClassVar[float] = Grid1D.x_right
 
     def period(self, speed: float) -> float:
         """Advection period: one full domain traversal."""
@@ -159,7 +159,7 @@ def run_benchmark(
     cfl: float = 0.2,
 ) -> RunResult:
     """Advect a named profile at unit speed and score it against the exact solution."""
-    grid = Grid1D(n_cells, profile.x_left, profile.x_right)
+    grid = Grid1D(n_cells)
     initial = project_initial(grid, profile.func)
     t_end = periods * profile.period(1.0)
     result = advect(initial, FluxSpec(), TimeConfig(t_end=t_end, cfl=cfl), scheme)

@@ -36,12 +36,12 @@ keep both. numpy releases the GIL inside large ufunc loops,
 so the cache is keyed on the thread too: no two threads share a workspace
 (about 256 bytes per cell).
 
-The kernels compute in float64 (CellField guarantees it), where 0-d float64
-constants give a Python float's bits, and write their temporaries in place,
-never into an argument. An in-place update may swap the two operands of one
-+ or *, which is exact; otherwise every kernel keeps the operations and
-operand order of the formulas it was validated with, so results match the
-former whole-array-shift kernels bit for bit (tests/test_bitwise.py,
+The kernels compute in float64 over one axis (select and CellField guarantee
+it), where 0-d float64 constants give a Python float's bits, and write their
+temporaries in place, never into an argument. An in-place update may swap the
+two operands of one + or *, which is exact; otherwise every kernel keeps the
+operations and operand order of the formulas it was validated with, so results
+match the former whole-array-shift kernels bit for bit (tests/test_bitwise.py,
 tests/test_no_mutation.py). One algebraically equivalent shortcut is
 deliberately not taken: reusing the right face's beta_0/beta_2, swapped, for
 the left face changes the last bit of the left values.
@@ -90,19 +90,18 @@ def _mirrored_index(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=WENO_Z_WORKSPACES)
-def _workspace(n: int, thread: int, kind: type) -> tuple:
+def _workspace(n: int, thread: int) -> tuple:
     """weno_z_field's buffers for n cells and every view of them it reads, in its order.
 
-    Made once per (n, thread, array type): a thread never writes another's
-    buffers, and an ndarray subclass (tools/count_calls.py's counter) gets
-    buffers of its own type. Only weno_z_field unpacks the tuple.
+    Made once per (n, thread), so a thread never writes another's buffers.
+    Only weno_z_field unpacks the tuple.
     """
     index = _mirrored_index(n)
     m = index.shape[0] - 4  # stencil centres: the right faces, the seam, the left faces
-    line, two, four, five = np.empty((4, m + 4)).view(kind)
-    three_c = np.empty(m).view(kind)  # later 11 q_j
-    curv = np.empty(m + 2).view(kind)  # later tau5, in its first m entries
-    work = np.empty((6, m)).view(kind)  # one allocation: see the module docstring
+    line, two, four, five = np.empty((4, m + 4))
+    three_c = np.empty(m)  # later 11 q_j
+    curv = np.empty(m + 2)  # later tau5, in its first m entries
+    work = np.empty((6, m))  # one allocation: see the module docstring
     beta, v = work[:3], work[3:]
     left = slice(2 * n + 3, n + 3, -1)
     return (
@@ -131,19 +130,16 @@ def weno_z_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     intermediate is written with out= into the cached workspace of this grid
     size and thread (_workspace), so a call allocates only its two results;
     every operation keeps its operands, at most swapping the two of one + or *.
-
-    `values` is only read. Any other dtype is first converted to float64,
-    as the float64 constants would promote it anyway.
+    `values` is only read.
 
     Returns (left, right), new arrays congruent with `values`.
     """
-    values = values.astype(np.float64, copy=False)  # no copy for a CellField's averages
     (index, line, two, four, five, three_c, curv, beta, v, b0, b1, b2, v0, v1, v2,
      qm2, qm1, q0, qp1, qp2, line_lo, two_mid, line_hi, curv0, curv1, curv2,
      four1, four3, two0, two2, two3, five2, five3, weights,
-     v0_left, b0_left, v0_right, b0_right) = _workspace(values.shape[0], get_ident(), type(values))
+     v0_left, b0_left, v0_right, b0_right) = _workspace(values.shape[0], get_ident())
     # views named x<k> (four1, curv0, ...) are x[k : k + m]
-    values.take(index, out=line, mode="clip")  # "clip" writes straight into line; none clips
+    values.take(index, axis=0, out=line, mode="clip")  # "clip" writes in place; none clips
     np.multiply(_TWO, line, out=two)
     np.multiply(_FOUR, line, out=four)
     np.multiply(_FIVE, line, out=five)

@@ -129,12 +129,15 @@ def riemann_flux(q_left, q_right, spec: FluxSpec):
     return central
 
 
-def select(values: np.ndarray, scheme: SchemeConfig) -> SelectionResult:
+def select(values, scheme: SchemeConfig) -> SelectionResult:
     """The scheme's per-cell boundary pairs and THINC weights on the given data.
 
     wenoz takes WENO-Z's faces with omega = 0; a BVD scheme builds both
-    candidates and applies its selection rule.
+    candidates and applies its selection rule. Any 1-D array-like is read as float64.
     """
+    values = np.asanyarray(values, dtype=np.float64)  # a float64 array passes uncopied
+    if values.ndim != 1:
+        raise ValueError(f"values must be a 1-D array of cell averages, got shape {values.shape}")
     if scheme.scheme == "wenoz":
         return SelectionResult(np.zeros(values.shape[0]), *weno_z_field(values))
     candidates = build_candidates(values, scheme)

@@ -1,15 +1,13 @@
 import pytest
 
-from bvd1d.experiments import PROFILES, run_benchmark
+from bvd1d.experiments import FIGURE_SCHEMES, PROFILES, run_benchmark
 from bvd1d.solver import SchemeConfig
 
+# The six figure configurations, labelled by scheme and, off the default, beta:
+# wenoz, bvd1, ..., bvd4, bvd4-beta4.
 BENCHMARK_CONFIGS = {
-    "wenoz": SchemeConfig("wenoz"),
-    "bvd1": SchemeConfig("bvd1"),
-    "bvd2": SchemeConfig("bvd2"),
-    "bvd3": SchemeConfig("bvd3"),
-    "bvd4": SchemeConfig("bvd4"),
-    "bvd4-beta4": SchemeConfig("bvd4", beta=4.0),
+    config.scheme + ("" if config.beta == SchemeConfig.beta else f"-beta{config.beta:g}"): config
+    for config in FIGURE_SCHEMES.values()
 }
 
 

@@ -12,6 +12,7 @@ under the version they were measured with.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +91,15 @@ def test_counter_sees_a_take_into_a_buffer(count_calls):
 
 
 def test_counting_leaves_no_counted_workspace(count_calls):
-    # weno_z_field's cached workspace is built from the counted array; none may outlive
-    # the count, or a later plain call would run on counted buffers.
-    reconstruct._workspace.cache_clear()
+    # During a count, reconstruct._workspace hands out counted views of the cached plain
+    # buffers; afterwards the cached function is back and its buffers are still plain,
+    # or a later plain call would run on counted buffers.
+    workspace = reconstruct._workspace
     values = np.linspace(0.0, 1.0, 25)
     before = reconstruct.weno_z_field(values)
     count_calls.stage_counts("bvd1", 25)
-    assert reconstruct._workspace.cache_info().currsize == 0
+    assert reconstruct._workspace is workspace
+    assert all(type(x) is np.ndarray for x in workspace(25, threading.get_ident()))
     after = reconstruct.weno_z_field(values)
     assert all(type(x) is np.ndarray for x in after)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

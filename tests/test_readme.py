@@ -4,7 +4,7 @@
 row of "Defaults and constants" against the default or constant it names,
 "Library use" as a spec of the package root: its code blocks run as
 written, and bvd1d.__all__ holds exactly the names the README reaches as
-bvd1d.<name>; and the introduction's claims, one test per sentence.
+bvd1d.<name>; and the claims of its prose, one test per sentence.
 """
 
 import pkgutil
@@ -15,7 +15,7 @@ import numpy as np
 
 import bvd1d
 from bvd1d.bvd import BVD3_EPS
-from bvd1d.experiments import PROFILES, exact_advected, l1_error
+from bvd1d.experiments import FIGURE_SCHEMES, PROFILES, exact_advected, l1_error
 from bvd1d.field import Grid1D, project_initial
 from bvd1d.reconstruct import THINC_EPS, WENO_Z_EPS
 from bvd1d.solver import FluxSpec, SchemeConfig, TimeConfig, advect
@@ -111,3 +111,24 @@ def test_smooth_regions_retain_fifth_order_accuracy():
             assert run.final.averages.tobytes() == wenoz.averages.tobytes(), (scheme, n)
             assert not run.t_cells_per_step.any(), (scheme, n)
     assert np.all(np.log2(np.array(errors[:-1]) / errors[1:]) > 4.9)
+
+
+def test_beta_4_holds_its_jump_up_to_cfl_0_3_and_acts_as_wenoz_at_0_4():
+    """β = 4 "keeps re-selecting the sigmoid (and therefore only holds a 2-cell jump) for
+    step sizes up to roughly CFL 0.3; at CFL 0.4 it falls back to pure WENO-Z behavior":
+    complex_waves, N = 200, one period."""
+    profile, sharp = PROFILES["complex_waves"], SchemeConfig("bvd4", beta=4.0)
+    assert bvd1d.run_benchmark(sharp, profile, cfl=0.3).transition_widths == [1, 1]
+    fallback = bvd1d.run_benchmark(sharp, profile, cfl=0.4)
+    wenoz = bvd1d.run_benchmark(SchemeConfig("wenoz"), profile, cfl=0.4)
+    assert fallback.transition_widths == wenoz.transition_widths == [5, 5]
+    assert abs(fallback.l1_error - wenoz.l1_error) < 0.01 * wenoz.l1_error
+
+
+def test_every_figure_configuration_is_stable_at_cfl_0_8():
+    """"All schemes are stable well beyond 0.2": each of the six figure configurations
+    finishes one period of complex_waves at N = 200 and CFL 0.8 (advect raises
+    BlowupError on a NaN or Inf)."""
+    for config in FIGURE_SCHEMES.values():
+        result = bvd1d.run_benchmark(config, PROFILES["complex_waves"], cfl=0.8)
+        assert result.n_steps > 0 and np.isfinite(result.l1_error), config

@@ -12,7 +12,7 @@ from bvd1d.reconstruct import (
     THINC_EPS, WENO_Z_WORKSPACES, jump_position, thinc_admissible_field, thinc_field,
     weno_z_field,
 )
-from bvd1d.solver import SchemeConfig
+from bvd1d.solver import SchemeConfig, select
 
 from oracles import (
     implied_jump_center,
@@ -115,17 +115,24 @@ class TestWenoZWorkspace:
         second = weno_z_field(second_values)
         assert same_bytes(first, kept)
         assert not same_bytes(first, second)
-        workspace = reconstruct._workspace(40, threading.get_ident(), np.ndarray)
+        workspace = reconstruct._workspace(40, threading.get_ident())
         for face in (*first, *second):
             assert not any(np.shares_memory(face, part) for part in workspace)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_other_dtypes_are_converted_first(self, dtype):
-        # the workspace's line is float64; the take into it must not see another dtype
+        # the workspace's line is float64: solver.select converts before the take into it
         values = (np.random.default_rng(9).standard_normal(12) * 100.0).astype(dtype)
-        faces = weno_z_field(values)
+        sel = select(values, SchemeConfig("wenoz"))
+        faces = sel.left, sel.right
         assert all(face.dtype == np.float64 for face in faces)
         assert same_bytes(faces, weno_z_field(values.astype(np.float64)))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (12, 1)])
+    def test_values_of_two_dimensions_raise(self, shape):
+        # the take gathers along one axis: a 2-D array cannot be read as its flattened cells
+        with pytest.raises(ValueError):
+            weno_z_field(np.zeros(shape))
 
     def test_threads_never_share_a_workspace(self):
         # More threads than cores, at a size where numpy releases the GIL inside each

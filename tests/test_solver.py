@@ -131,6 +131,23 @@ class TestSelect:
         thinc_admissible_field(jump, SchemeConfig())
         assert gathers == []
 
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_values_of_two_dimensions_rejected(self, scheme):
+        with pytest.raises(ValueError, match=r"1-D .* shape \(3, 4\)"):
+            select(np.zeros((3, 4)), SchemeConfig(scheme))
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("kind", ["int64", "float32", "list"])
+    def test_other_inputs_are_read_as_float64(self, scheme, kind):
+        values = np.random.default_rng(9).standard_normal(12) * 100.0
+        values = values.astype(np.int64).tolist() if kind == "list" else values.astype(kind)
+        config = SchemeConfig(scheme)
+        sel, expected = select(values, config), select(np.asarray(values, dtype=float), config)
+        for name in ("omega", "left", "right"):
+            assert getattr(sel, name).dtype == np.float64, name
+            assert getattr(sel, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert sel.n_clamped == expected.n_clamped
+
 
 class TestConfigs:
     def test_unknown_scheme_rejected(self):

@@ -19,11 +19,10 @@ array count as calls too, like np.copy and np.take. Slicing and indexing
 (__getitem__) are counted separately. A buffer a kernel allocates must come
 from a counted array (np.empty_like(values, shape=(4, n)), not np.empty), or
 the calls on it go unseen. reconstruct.weno_z_field keeps its buffers in a
-workspace cached per grid size, thread and array type, so a counted array
-gets counted buffers: each count clears that cache, runs one stage uncounted
-to build the workspace, counts the next, and clears the cache again. So the
-counts are a stage's in a run's steady state, and no counted buffer outlives
-them.
+workspace cached per grid size and thread; during a count,
+reconstruct._workspace hands out Counted views of those plain buffers
+(counted_workspaces). Building a workspace is never counted, so the counts
+are a stage's in a run's steady state, and the cache holds no counted buffer.
 
 Four more tallies ride along:
 - elements: the size of every array a counted call returns or writes (out=
@@ -205,6 +204,18 @@ def _first_stage(values, dx, config, flux) -> int:
     return solver._rhs(values, dx, config, flux)[1].thinc_cells
 
 
+@contextlib.contextmanager
+def counted_workspaces():
+    """reconstruct._workspace, which weno_z_field looks up by its module global,
+    handing out Counted views of the cached plain buffers."""
+    plain = reconstruct._workspace
+    reconstruct._workspace = lambda n, thread: _wrap(plain(n, thread))
+    try:
+        yield
+    finally:
+        reconstruct._workspace = plain
+
+
 def stage_counts(scheme: str, n_cells: int) -> tuple[Tally, dict[str, Tally]]:
     """The Tally of one _first_stage on the complex-wave profile, and per layer."""
     profile = PROFILES["complex_waves"]
@@ -212,14 +223,9 @@ def stage_counts(scheme: str, n_cells: int) -> tuple[Tally, dict[str, Tally]]:
     values = project_initial(grid, profile.func).averages.view(Counted)
     config, flux, dx = solver.SchemeConfig(scheme), solver.FluxSpec(), np.array(grid.dx)
     layers: dict[str, Tally] = {}
-    reconstruct._workspace.cache_clear()
-    try:
-        _first_stage(values, dx, config, flux)  # builds the counted workspace
-        Counted.reset()
-        with counting_layers(layers):
-            _first_stage(values, dx, config, flux)
-    finally:
-        reconstruct._workspace.cache_clear()
+    Counted.reset()
+    with counted_workspaces(), counting_layers(layers):
+        _first_stage(values, dx, config, flux)
     return Counted.tally(), layers
 
 

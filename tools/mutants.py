@@ -103,6 +103,7 @@ MUTANTS = (
      SOLVER, "max(abs(mass0), float(np.abs(initial.averages).sum() * grid.dx), 1e-300)", "max(abs(mass0), 1e-300)"),
     ("_rhs reads q^R from cell j-1",
      SOLVER, "sel.left[shift_index(n, 1)]", "sel.left[shift_index(n, -1)]"),
+    ("select accepts 2-D values", SOLVER, "values.ndim != 1", "values.ndim > 2"),
 )
 
 
